@@ -4,12 +4,12 @@ A hyperplane is stored in a canonical form (integer coprime normal, first
 nonzero entry positive), so equality of hyperplanes is structural equality.
 Faces are the relatively open cells of the induced decomposition of R^n,
 identified with their sign vectors over the hyperplane list.  Enumeration
-is incremental: hyperplanes are inserted one at a time and every existing
-cell is split into the parts on which the new hyperplane is negative, zero,
-or positive.  Each face keeps an exact rational witness point in its
-relative interior and a basis of the direction space of its affine hull,
-which makes sign classification mostly a matter of linear algebra; a single
-exact LP decides the genuine splitting cases.
+uses no LP: hyperplane j is lifted to (a_j, -b_j) in Q^(n+1), x0 = 0 is
+added as index m, and the faces are the covectors with x0 = + in the
+closure of the cocircuits under the Tits product, composed as (pos, neg)
+bitmasks.  A face's witness is the sum of the cocircuit vectors
+conformally below it, divided by its x0 entry; the face is essentially
+bounded when none of those cocircuits lies at infinity (x0 = 0).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd
 
 from .linalg import common_denominator, dot, matrix_rank, nullspace
-from .lp import lp_feasible
 
 
 class ZeroNormal(ValueError):
@@ -34,6 +33,10 @@ class DuplicateHyperplane(ValueError):
 
 class NotAFace(ValueError):
     """A sign vector that no point of the ambient space realizes."""
+
+
+class WitnessMismatch(RuntimeError):
+    """A computed face witness whose sign vector is not the face's."""
 
 
 @dataclass(frozen=True)
@@ -220,153 +223,169 @@ class FaceSet:
         return out
 
 
-def _reduce_basis(basis, rates):
-    """Intersect span(basis) with the kernel of the functional whose values
-    on the basis are `rates` (some rate nonzero)."""
-    p = next(i for i, r in enumerate(rates) if r != 0)
-    vp, rp = basis[p], rates[p]
+def _idot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lift(arr):
+    """Homogenized integer rows: (a_j, -b_j) scaled by the denominator of
+    b_j for each hyperplane a_j . x = b_j, then the row of x0 at index m."""
+    rows = [
+        tuple(c * h.offset.denominator for c in h.normal) + (-h.offset.numerator,)
+        for h in arr.hyperplanes
+    ]
+    rows.append((0,) * arr.dim + (1,))
+    return rows
+
+
+def _sign_masks(rows, v):
+    pos = neg = 0
+    for j, row in enumerate(rows):
+        s = _idot(row, v)
+        if s > 0:
+            pos |= 1 << j
+        elif s < 0:
+            neg |= 1 << j
+    return pos, neg
+
+
+def _cut(basis, row):
+    """Primitive integer basis of the part of span(basis) orthogonal to row
+    (row is not orthogonal to all of it)."""
+    rates = [_idot(row, b) for b in basis]
+    p = next(i for i, r in enumerate(rates) if r)
     out = []
-    for i, (v, r) in enumerate(zip(basis, rates)):
-        if i == p:
-            continue
-        out.append(tuple(a - (r / rp) * b for a, b in zip(v, vp)))
+    for i, (b, r) in enumerate(zip(basis, rates)):
+        if i != p:
+            v = [rates[p] * x - r * y for x, y in zip(b, basis[p])]
+            g = gcd(*v)
+            out.append(tuple(x // g for x in v))
     return out
 
 
-def _step_witness(arr, signs, witness, direction):
-    """Move from a relative-interior witness along a hull direction, staying
-    strictly inside every already-assigned nonzero sign."""
-    eps = None
-    for j, s in enumerate(signs):
-        if s == 0:
-            continue
-        margin = s * arr.value(j, witness)
-        rate = s * dot(arr.hyperplanes[j].normal, direction)
-        if rate < 0:
-            bound = margin / (-rate)
-            eps = bound if eps is None else min(eps, bound)
-    eps = Fraction(1) if eps is None else eps / 2
-    return tuple(w + eps * d for w, d in zip(witness, direction))
+def _cocircuits(rows):
+    """Both orientations of every cocircuit of the row configuration, as
+    (pos mask, neg mask, primitive integer vector).
+
+    There is one cocircuit pair per flat of rank r - 1.  Flats are closed
+    rank by rank: each flat is a closure mask with a basis of the subspace
+    orthogonal to its rows, and each cover is found once.  A vector of a
+    rank-(r - 1) flat's subspace outside the lineality space vanishes
+    exactly on that flat's rows.
+    """
+    width = len(rows[0])
+    full = (1 << len(rows)) - 1
+    level = {0: [tuple(int(i == j) for j in range(width)) for i in range(width)]}
+    for _ in range(matrix_rank(rows) - 1):
+        covers = {}
+        for mask, basis in level.items():
+            rest = full & ~mask
+            while rest:
+                sub = _cut(basis, rows[next(_bits(rest))])
+                closed = mask
+                for j in _bits(rest):
+                    if not any(_idot(rows[j], b) for b in sub):
+                        closed |= 1 << j
+                rest &= ~closed
+                covers.setdefault(closed, sub)
+        level = covers
+    out = []
+    for basis in level.values():
+        y = next(b for b in basis if any(_idot(row, b) for row in rows))
+        for v in (y, tuple(-c for c in y)):
+            out.append(_sign_masks(rows, v) + (v,))
+    return out
 
 
-def _split_constraints(arr, signs, upto):
-    eqs, stricts = [], []
-    for j in range(upto):
-        h = arr.hyperplanes[j]
-        s = signs[j]
-        if s == 0:
-            eqs.append((h.normal, h.offset))
-        else:
-            stricts.append(
-                (tuple(s * c for c in h.normal), s * h.offset)
-            )
-    return eqs, stricts
+def _covectors(cocircuits, x0):
+    """Closure of the zero covector under composition with cocircuits,
+    dropping every covector with x0 = -.  Each covector is a composition of
+    cocircuits conformal to it, so this still reaches every covector with
+    x0 in {0, +}."""
+    x0_neg = 1 << x0
+    seen = {(0, 0)}
+    work = [(0, 0)]
+    while work:
+        p, q = work.pop()
+        zero = ~(p | q)
+        for cp, cq, _ in cocircuits:
+            x = (p | (cp & zero), q | (cq & zero))
+            if not x[1] & x0_neg and x not in seen:
+                seen.add(x)
+                work.append(x)
+    return seen
+
+
+def _below(cocircuits, p, q):
+    return [c for c in cocircuits if not (c[0] & ~p or c[1] & ~q)]
+
+
+def _bounded(below, x0):
+    """No cocircuit at infinity (x0 = 0) lies conformally below the face."""
+    return all(cp >> x0 & 1 for cp, _, _ in below)
 
 
 def enumerate_faces(arr):
-    """All faces of the arrangement, by incremental hyperplane insertion."""
-    n = arr.dim
-    origin = tuple(Fraction(0) for _ in range(n))
-    identity = [
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    ]
-    state = [((), origin, identity)]
-
-    for i, h in enumerate(arr.hyperplanes):
-        new_state = []
-        for signs, witness, basis in state:
-            val = h.value(witness)
-            sigma = 0 if val == 0 else (1 if val > 0 else -1)
-            rates = [dot(h.normal, v) for v in basis]
-            crosses_hull = any(r != 0 for r in rates)
-
-            if not crosses_hull:
-                # The hyperplane is constant on the affine hull of the face.
-                new_state.append((signs + (sigma,), witness, basis))
-                continue
-
-            if sigma == 0:
-                # Witness sits on the hyperplane and the hull crosses it, so
-                # both open sides are nonempty; walk along a hull direction.
-                p = next(k for k, r in enumerate(rates) if r != 0)
-                v = basis[p] if rates[p] > 0 else tuple(-c for c in basis[p])
-                w_plus = _step_witness(arr, signs, witness, v)
-                w_minus = _step_witness(
-                    arr, signs, witness, tuple(-c for c in v)
-                )
-                sub = _reduce_basis(basis, rates)
-                new_state.append((signs + (1,), w_plus, basis))
-                new_state.append((signs + (0,), witness, sub))
-                new_state.append((signs + (-1,), w_minus, basis))
-                continue
-
-            eqs, stricts = _split_constraints(arr, signs, i)
-            stricts.append(
-                (tuple(-sigma * c for c in h.normal), -sigma * h.offset)
-            )
-            other = lp_feasible(n, equalities=eqs, strict_inequalities=stricts)
-            if other is None:
-                new_state.append((signs + (sigma,), witness, basis))
-                continue
-            # Both strict sides are inhabited; the zero part is the exact
-            # segment crossing between the two witnesses.
-            val2 = h.value(other)
-            lam = val / (val - val2)
-            crossing = tuple(
-                a + lam * (b - a) for a, b in zip(witness, other)
-            )
-            sub = _reduce_basis(basis, rates)
-            new_state.append((signs + (sigma,), witness, basis))
-            new_state.append((signs + (0,), crossing, sub))
-            new_state.append((signs + (-sigma,), other, basis))
-        state = new_state
-
+    """All faces of the arrangement, as the covectors with x0 = + of the
+    homogenized arrangement."""
+    m, n = arr.m, arr.dim
+    rows = _lift(arr)
+    cocircuits = _cocircuits(rows)
+    hulls = {}
     faces = []
-    for signs, witness, basis in state:
+    for p, q in _covectors(cocircuits, m):
+        if not p >> m & 1:
+            continue
+        below = _below(cocircuits, p, q)
+        y = [sum(col) for col in zip(*(v for _, _, v in below))]
+        signs = tuple((p >> j & 1) - (q >> j & 1) for j in range(m))
+        if _sign_masks(rows, y) != (p, q):
+            raise WitnessMismatch(
+                f"witness of {signs_to_str(signs)} lies in another face"
+            )
+        zero = ~(p | q) & ((1 << m) - 1)
+        if zero not in hulls:
+            normals = [arr.hyperplanes[j].normal for j in _bits(zero)]
+            hulls[zero] = tuple(nullspace(normals, n))
         faces.append(
             Face(
                 signs=signs,
-                witness=witness,
-                dim=len(basis),
-                essentially_bounded=_essentially_bounded(arr, signs),
-                hull_basis=tuple(basis),
+                witness=tuple(Fraction(c, y[n]) for c in y[:n]),
+                dim=len(hulls[zero]),
+                essentially_bounded=_bounded(below, m),
+                hull_basis=hulls[zero],
             )
         )
-    fs = FaceSet(arr, faces)
-    assert all(arr.sign_vector(f.witness) == f.signs for f in fs)
-    return fs
+    return FaceSet(arr, faces)
 
 
-def _essentially_bounded(arr, signs):
-    """Whether the recession cone of the face is a linear subspace."""
-    nonzero = [j for j, s in enumerate(signs) if s != 0]
-    if not nonzero:
-        return True
-    n = arr.dim
-    eqs = [
-        (arr.hyperplanes[j].normal, Fraction(0))
-        for j, s in enumerate(signs)
-        if s == 0
-    ]
-    weaks = [
-        (tuple(signs[j] * c for c in arr.hyperplanes[j].normal), Fraction(0))
-        for j in nonzero
-    ]
-    total = [Fraction(0)] * n
-    for coeffs, _ in weaks:
-        total = [t + c for t, c in zip(total, coeffs)]
-    weaks.append((tuple(total), Fraction(1)))
-    return lp_feasible(n, equalities=eqs, weak_inequalities=weaks) is None
+def _conformal_cocircuits(arr, signs):
+    """Cocircuits conformally below signs (with x0 = + appended); NotAFace
+    unless they cover its support, which is exactly when it is a face."""
+    if len(signs) != arr.m:
+        raise NotAFace(f"sign vector has length {len(signs)}, expected {arr.m}")
+    p = sum(1 << j for j, s in enumerate(signs) if s > 0) | 1 << arr.m
+    q = sum(1 << j for j, s in enumerate(signs) if s < 0)
+    below = _below(_cocircuits(_lift(arr)), p, q)
+    covered = 0
+    for cp, cq, _ in below:
+        covered |= cp | cq
+    if covered != p | q:
+        raise NotAFace(f"{signs_to_str(signs)} is not realizable")
+    return below
 
 
 def face_dimension(arr, signs):
     """Dimension of the face with the given sign vector (NotAFace if none)."""
     signs = tuple(signs)
-    if len(signs) != arr.m:
-        raise NotAFace(f"sign vector has length {len(signs)}, expected {arr.m}")
-    eqs, stricts = _split_constraints(arr, signs, arr.m)
-    if lp_feasible(arr.dim, equalities=eqs, strict_inequalities=stricts) is None:
-        raise NotAFace(f"{signs_to_str(signs)} is not realizable")
+    _conformal_cocircuits(arr, signs)
     zero_normals = [
         arr.hyperplanes[j].normal for j, s in enumerate(signs) if s == 0
     ]
@@ -390,9 +409,10 @@ def recession_cone(arr, face):
 
 
 def is_essentially_bounded(arr, signs):
-    """Whether the (realizable) face with this sign vector is essentially
-    bounded, i.e. bounded modulo the lineality space of the arrangement."""
-    return _essentially_bounded(arr, tuple(signs))
+    """Whether the face with this sign vector (NotAFace if none) is
+    essentially bounded, i.e. bounded modulo the lineality space of the
+    arrangement."""
+    return _bounded(_conformal_cocircuits(arr, tuple(signs)), arr.m)
 
 
 def lineality_space(arr):

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acos, gcd, lcm, sqrt
-
-import numpy as np
+from math import acos, gcd, lcm, pi, sqrt
 
 from .geometry import HomogeneousCone, recession_cone
-from .lattice import charpoly
 from .linalg import (
     common_denominator,
     dot,
@@ -230,7 +227,7 @@ def _exact_profile(cone):
         values[ell + 1] = 0.5
     elif ess == 2:
         alpha = _planar_angle(cone, lin, implicit)
-        frac = alpha / (2 * np.pi)
+        frac = alpha / (2 * pi)
         values[ell] = 0.5 - frac
         values[ell + 1] = 0.5
         values[ell + 2] = frac
@@ -240,6 +237,10 @@ def _exact_profile(cone):
 
 
 def _mc_profile(cone, samples, seed):
+    # numpy is imported here, the only place that uses it, so that commands
+    # which never sample do not pay its import time and memory
+    import numpy as np
+
     n = cone.dim
     faces = cone_faces(cone)
     den = 1
@@ -423,7 +424,7 @@ def klivans_swartz_charpoly(
             sums[j] += prof.values[j + d]
             hw[j] += prof.half_width[j + d]
     estimate = tuple(((-1) ** (r - j)) * sums[j] for j in range(r + 1))
-    chi = charpoly(lattice)
+    chi = lattice.charpoly()
     exact = tuple(float(chi.coefficient(j)) for j in range(r + 1))
     deviations = tuple(abs(a - b) for a, b in zip(estimate, exact))
     return KlivansSwartzReport(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import FaceSet, lineality_space
-from .linalg import dot, matrix_rank
+from .linalg import matrix_rank
 from .scalars import Poly, T
 
 
@@ -144,14 +144,9 @@ class FlatLattice:
 
 
 def support_closure(arr, face):
-    """Indices of all hyperplanes containing the affine hull of the face."""
-    out = []
-    for j, h in enumerate(arr.hyperplanes):
-        if h.value(face.witness) != 0:
-            continue
-        if all(dot(h.normal, v) == 0 for v in face.hull_basis):
-            out.append(j)
-    return frozenset(out)
+    """Indices of all hyperplanes containing the affine hull of the face:
+    its zero set, since a face lies in H_j exactly when its sign there is 0."""
+    return frozenset(j for j, s in enumerate(face.signs) if s == 0)
 
 
 def _flats_from_closures(arr, closures, d):
@@ -176,24 +171,6 @@ def build_lattice(arr, faces):
     lat = FlatLattice(arr, flats, face_support)
     assert faces.min_dim == d
     return lat
-
-
-def support(arr, faces, face):
-    """Support of a face, computed against a fresh lattice if needed."""
-    lat = build_lattice(arr, faces)
-    return lat.support(face)
-
-
-def join(lattice, x, y):
-    return lattice.join(x, y)
-
-
-def mobius(lattice, y, x):
-    return lattice.mobius(y, x)
-
-
-def charpoly(lattice):
-    return lattice.charpoly()
 
 
 def charpoly_under(lattice, x):

@@ -1,0 +1,167 @@
+"""Independent reference implementations that the tests compare against.
+
+`enumerate_faces_lp` is the incremental-insertion enumerator with one exact
+LP per genuine split, and `_essentially_bounded` decides boundedness with
+one LP; both are kept as they were before face enumeration moved to the
+cocircuit closure in `titskit.geometry`.  `witness_support_closure` is the
+support closure computed from a face's witness and hull basis.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from titskit.geometry import Face, FaceSet
+from titskit.linalg import dot
+from titskit.lp import lp_feasible
+
+
+def _reduce_basis(basis, rates):
+    """Intersect span(basis) with the kernel of the functional whose values
+    on the basis are `rates` (some rate nonzero)."""
+    p = next(i for i, r in enumerate(rates) if r != 0)
+    vp, rp = basis[p], rates[p]
+    out = []
+    for i, (v, r) in enumerate(zip(basis, rates)):
+        if i == p:
+            continue
+        out.append(tuple(a - (r / rp) * b for a, b in zip(v, vp)))
+    return out
+
+
+def _step_witness(arr, signs, witness, direction):
+    """Move from a relative-interior witness along a hull direction, staying
+    strictly inside every already-assigned nonzero sign."""
+    eps = None
+    for j, s in enumerate(signs):
+        if s == 0:
+            continue
+        margin = s * arr.value(j, witness)
+        rate = s * dot(arr.hyperplanes[j].normal, direction)
+        if rate < 0:
+            bound = margin / (-rate)
+            eps = bound if eps is None else min(eps, bound)
+    eps = Fraction(1) if eps is None else eps / 2
+    return tuple(w + eps * d for w, d in zip(witness, direction))
+
+
+def _split_constraints(arr, signs, upto):
+    eqs, stricts = [], []
+    for j in range(upto):
+        h = arr.hyperplanes[j]
+        s = signs[j]
+        if s == 0:
+            eqs.append((h.normal, h.offset))
+        else:
+            stricts.append(
+                (tuple(s * c for c in h.normal), s * h.offset)
+            )
+    return eqs, stricts
+
+
+def enumerate_faces_lp(arr):
+    """All faces of the arrangement, by incremental hyperplane insertion."""
+    n = arr.dim
+    origin = tuple(Fraction(0) for _ in range(n))
+    identity = [
+        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
+    ]
+    state = [((), origin, identity)]
+
+    for i, h in enumerate(arr.hyperplanes):
+        new_state = []
+        for signs, witness, basis in state:
+            val = h.value(witness)
+            sigma = 0 if val == 0 else (1 if val > 0 else -1)
+            rates = [dot(h.normal, v) for v in basis]
+            crosses_hull = any(r != 0 for r in rates)
+
+            if not crosses_hull:
+                # The hyperplane is constant on the affine hull of the face.
+                new_state.append((signs + (sigma,), witness, basis))
+                continue
+
+            if sigma == 0:
+                # Witness sits on the hyperplane and the hull crosses it, so
+                # both open sides are nonempty; walk along a hull direction.
+                p = next(k for k, r in enumerate(rates) if r != 0)
+                v = basis[p] if rates[p] > 0 else tuple(-c for c in basis[p])
+                w_plus = _step_witness(arr, signs, witness, v)
+                w_minus = _step_witness(
+                    arr, signs, witness, tuple(-c for c in v)
+                )
+                sub = _reduce_basis(basis, rates)
+                new_state.append((signs + (1,), w_plus, basis))
+                new_state.append((signs + (0,), witness, sub))
+                new_state.append((signs + (-1,), w_minus, basis))
+                continue
+
+            eqs, stricts = _split_constraints(arr, signs, i)
+            stricts.append(
+                (tuple(-sigma * c for c in h.normal), -sigma * h.offset)
+            )
+            other = lp_feasible(n, equalities=eqs, strict_inequalities=stricts)
+            if other is None:
+                new_state.append((signs + (sigma,), witness, basis))
+                continue
+            # Both strict sides are inhabited; the zero part is the exact
+            # segment crossing between the two witnesses.
+            val2 = h.value(other)
+            lam = val / (val - val2)
+            crossing = tuple(
+                a + lam * (b - a) for a, b in zip(witness, other)
+            )
+            sub = _reduce_basis(basis, rates)
+            new_state.append((signs + (sigma,), witness, basis))
+            new_state.append((signs + (0,), crossing, sub))
+            new_state.append((signs + (-sigma,), other, basis))
+        state = new_state
+
+    faces = []
+    for signs, witness, basis in state:
+        faces.append(
+            Face(
+                signs=signs,
+                witness=witness,
+                dim=len(basis),
+                essentially_bounded=_essentially_bounded(arr, signs),
+                hull_basis=tuple(basis),
+            )
+        )
+    fs = FaceSet(arr, faces)
+    assert all(arr.sign_vector(f.witness) == f.signs for f in fs)
+    return fs
+
+
+def _essentially_bounded(arr, signs):
+    """Whether the recession cone of the face is a linear subspace."""
+    nonzero = [j for j, s in enumerate(signs) if s != 0]
+    if not nonzero:
+        return True
+    n = arr.dim
+    eqs = [
+        (arr.hyperplanes[j].normal, Fraction(0))
+        for j, s in enumerate(signs)
+        if s == 0
+    ]
+    weaks = [
+        (tuple(signs[j] * c for c in arr.hyperplanes[j].normal), Fraction(0))
+        for j in nonzero
+    ]
+    total = [Fraction(0)] * n
+    for coeffs, _ in weaks:
+        total = [t + c for t, c in zip(total, coeffs)]
+    weaks.append((tuple(total), Fraction(1)))
+    return lp_feasible(n, equalities=eqs, weak_inequalities=weaks) is None
+
+
+def witness_support_closure(arr, face):
+    """Indices of all hyperplanes containing the affine hull of the face,
+    from its witness and hull basis."""
+    out = []
+    for j, h in enumerate(arr.hyperplanes):
+        if h.value(face.witness) != 0:
+            continue
+        if all(dot(h.normal, v) == 0 for v in face.hull_basis):
+            out.append(j)
+    return frozenset(out)

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from titskit import geometry
 from titskit.geometry import (
     DuplicateHyperplane,
     NotAFace,
+    WitnessMismatch,
     ZeroNormal,
     arrangement_from_json,
     arrangement_to_json,
     canonicalize,
     enumerate_faces,
     face_dimension,
-    is_essentially_bounded,
     lineality_space,
     make_arrangement,
     recession_cone,
@@ -23,6 +24,7 @@ from titskit.geometry import (
 from titskit.lp import DimensionMismatch, lp_feasible
 
 from conftest import get_trio
+from oracles import _essentially_bounded
 
 
 def test_canonicalize_scaling():
@@ -138,6 +140,15 @@ def test_face_witnesses_realize_signs():
                         ) == 0
 
 
+def test_wrong_witness_raises(monkeypatch):
+    # dropping a conformal cocircuit from each witness sum leaves the
+    # origin of braid3 without a witness; the check is not an assert
+    below = geometry._below
+    monkeypatch.setattr(geometry, "_below", lambda *args: below(*args)[1:])
+    with pytest.raises(WitnessMismatch):
+        enumerate_faces(get_trio("braid3")[0])
+
+
 def test_enumeration_insertion_order_invariant():
     arr, faces, _ = get_trio("triangle")
     rows = [(h.normal, h.offset) for h in arr.hyperplanes]
@@ -169,7 +180,7 @@ def test_chambers_and_boundedness():
     bounded = [f for f in chambers if f.essentially_bounded]
     assert len(bounded) == 1  # the open triangle
     for f in faces:
-        assert f.essentially_bounded == is_essentially_bounded(arr, f.signs)
+        assert f.essentially_bounded == _essentially_bounded(arr, f.signs)
     # vertices are bounded, edges of the triangle are bounded, rays are not
     assert sum(1 for f in faces if f.essentially_bounded) == 7  # 3+3+1
 

@@ -21,6 +21,7 @@ from titskit.scalars import Poly, T
 from titskit.tits import tits_product
 
 from conftest import STANDARD, get_trio
+from oracles import witness_support_closure
 
 
 @pytest.mark.parametrize(
@@ -69,8 +70,14 @@ def test_support_of_faces():
     assert lat.flat(lat.support_index(center)).closure == frozenset({0, 1, 2})
     wall = faces.face((0, -1, -1))
     assert lat.flat(lat.support_index(wall)).closure == frozenset({0})
-    # support closure computed directly from the witness
     assert support_closure(arr, wall) == frozenset({0})
+
+
+@pytest.mark.parametrize("name", STANDARD)
+def test_support_closure_is_zero_set(name):
+    arr, faces, _ = get_trio(name)
+    for f in faces:
+        assert support_closure(arr, f) == witness_support_closure(arr, f)
 
 
 @pytest.mark.parametrize(
