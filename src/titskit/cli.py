@@ -409,7 +409,7 @@ def _q_basis_check(lattice):
     return {"name": "q-basis", "ok": ok, "flats": len(lattice)}
 
 
-def _product_checks(arr, faces, s, t, samples, seed):
+def _product_checks(arr, faces, s, t, samples, seed, base=None):
     checks = []
     if arr.kind == "braid":
         a = adams_a(faces)
@@ -424,7 +424,7 @@ def _product_checks(arr, faces, s, t, samples, seed):
             }
         )
     rep = verify_intrinsic_product(
-        faces, s, t, samples=samples, seed=seed
+        faces, s, t, samples=samples, seed=seed, base=base
     )
     checks.append(
         {
@@ -530,9 +530,11 @@ def _cmd_verify(arr, faces, lattice, args):
             [(s, t), (Fraction(-1), Fraction(3)), (Fraction(1, 2), Fraction(-2))],
         )
         checks.append(_q_basis_check(lattice))
-        checks += _product_checks(arr, faces, s, t, args.samples, args.seed)
         nu = intrinsic_element(
             arr, faces, samples=args.samples, seed=args.seed
+        )
+        checks += _product_checks(
+            arr, faces, s, t, args.samples, args.seed, base=nu
         )
         checks += _nu_checks(faces, nu)
         checks.append(_profile_consistency_check(faces, nu.profiles))
@@ -574,10 +576,7 @@ def _cmd_intrinsic(arr, faces, lattice, args):
     checks = []
     computed = [f for f in faces if f.signs in profiles]
     if computed:
-        class _View:
-            def __iter__(self):
-                return iter(computed)
-        checks.append(_profile_consistency_check(_View(), profiles))
+        checks.append(_profile_consistency_check(computed, profiles))
     chambers_done = all(c.signs in profiles for c in faces.chambers())
     ks = None
     if chambers_done:

@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .linalg import common_denominator, dot, matrix_rank, nullspace
@@ -321,6 +322,47 @@ def _covectors(cocircuits, x0):
                 seen.add(x)
                 work.append(x)
     return seen
+
+
+def _line(row):
+    """The primitive integer row spanning the same line, first nonzero
+    entry positive."""
+    g = gcd(*row)
+    lead = next(c for c in row if c)
+    return tuple((c if lead > 0 else -c) // g for c in row)
+
+
+@lru_cache(maxsize=256)
+def _line_cocircuits(lines):
+    """Cocircuit vectors, in both orientations, of the configuration of a
+    sorted tuple of distinct lines."""
+    return tuple(v for _, _, v in _cocircuits(list(lines)))
+
+
+def _cone_covectors(cone):
+    """(rays, covectors) of a homogeneous cone, as masks over its rows,
+    equalities first and then inequalities.
+
+    The rays are the cocircuits that are 0 on every equality and nowhere -:
+    the cone's rays modulo its lineality space, as (pos, neg, vector).
+    Their closure under composition is one covector per face, the sign
+    vector of its relative interior.  The cocircuit vectors depend only on
+    the lines the rows span, so all recession cones of one arrangement
+    share one cocircuit search.  A zero row is 0 on every point, so it is
+    active on every face; it stays out of that search, whose cuts need a
+    row that is not orthogonal to the basis.
+    """
+    rows = list(cone.equalities) + list(cone.inequalities)
+    lines = sorted({_line(row) for row in rows if any(row)})
+    if not lines:
+        return [], {(0, 0)}
+    eq_mask = (1 << len(cone.equalities)) - 1
+    rays = []
+    for v in _line_cocircuits(tuple(lines)):
+        p, q = _sign_masks(rows, v)
+        if not (q or p & eq_mask):
+            rays.append((p, q, v))
+    return rays, _covectors(rays, len(rows))
 
 
 def _below(cocircuits, p, q):

@@ -15,6 +15,11 @@ Two evaluation paths:
   the face whose relative interior actually contains the projection.
   Chunked substreams keyed by (seed, chunk index) make runs reproducible
   bit for bit regardless of execution order.
+
+A cone's faces, implicit equalities and rays come from the covectors of
+its own rows, not from an LP per subset of inequalities: the rays are the
+cocircuits that are 0 on the equalities and nowhere negative, and the faces
+are their closure under composition (geometry._cone_covectors).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import acos, gcd, lcm, pi, sqrt
 
-from .geometry import HomogeneousCone, recession_cone
+from .geometry import _cone_covectors, recession_cone
 from .linalg import (
     common_denominator,
     dot,
@@ -31,7 +36,6 @@ from .linalg import (
     nullspace,
     projection_matrix,
 )
-from .lp import lp_feasible
 from .scalars import Poly
 from .tits import TitsElement, multiply
 
@@ -41,6 +45,10 @@ CHUNK = 1 << 14
 _SCALE = 1 << 12
 _BIG = 1 << 62
 _FLOAT_FLOOR = 1e-9
+
+
+class ProjectionMismatch(RuntimeError):
+    """A computed nearest point that fails the exact optimality conditions."""
 
 
 @dataclass(frozen=True)
@@ -53,33 +61,26 @@ class ConeFace:
 def cone_faces(cone):
     """All faces of the cone, each with its exact active set.
 
-    A subset S of inequality indices defines a face when the system
-    {equalities, a_i x = 0 for i in S, a_j x > 0 for j outside S} is
-    feasible; the strictness pins S to the full active set, so faces come
-    out without duplicates.  Sorted largest active set first.
+    The faces are the covectors of the cone's own rows, closed from the
+    rays (geometry._cone_covectors); a face's active set is where its
+    covector is 0.  Sorted largest active set first.
     """
     n = cone.dim
-    idx = range(len(cone.inequalities))
-    eq_rows = [(e, Fraction(0)) for e in cone.equalities]
+    neq = len(cone.equalities)
+    _, covectors = _cone_covectors(cone)
     out = []
-    for mask in range(1 << len(cone.inequalities)):
-        subset = [i for i in idx if mask >> i & 1]
-        eqs = eq_rows + [(cone.inequalities[i], Fraction(0)) for i in subset]
-        stricts = [
-            (cone.inequalities[j], Fraction(0))
-            for j in idx
-            if not mask >> j & 1
+    for p, _ in covectors:
+        active = [
+            i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
         ]
-        if lp_feasible(n, equalities=eqs, strict_inequalities=stricts) is None:
-            continue
         span_rows = list(cone.equalities) + [
-            cone.inequalities[i] for i in subset
+            cone.inequalities[i] for i in active
         ]
         basis = nullspace(span_rows, n)
         proj = projection_matrix(basis, n)
         out.append(
             ConeFace(
-                active=frozenset(subset),
+                active=frozenset(active),
                 dim=len(basis),
                 proj=tuple(tuple(row) for row in proj),
             )
@@ -94,9 +95,11 @@ def project_to_cone(cone, point, faces=None):
     The projection is the feasible candidate of minimal distance among the
     orthogonal projections onto the spans of all faces; ties share the same
     point and the largest active set names the face containing it in its
-    relative interior.  The characterizing conditions (membership,
-    orthogonality to the face span, and the residual lying in the outward
-    normal cone) are all verified before returning.
+    relative interior.  Before returning, ProjectionMismatch is raised
+    unless the point lies in the relative interior of that face, the
+    residual is orthogonal to the face's span, and the residual lies in the
+    normal cone at the point: orthogonal to the point and to the lineality
+    space, and nonpositive on every ray.
     """
     p = tuple(Fraction(c) for c in point)
     if faces is None:
@@ -109,28 +112,25 @@ def project_to_cone(cone, point, faces=None):
         dist = sum((a - b) ** 2 for a, b in zip(p, q))
         if best is None or dist < best[0]:
             best = (dist, face, q)
+    if best is None:
+        raise ProjectionMismatch("no face projects into the cone")
     _, face, q = best
-    residual = tuple(a - b for a, b in zip(p, q))
-    assert all(c == 0 for c in matvec(face.proj, residual))
-    assert all(dot(e, q) == 0 for e in cone.equalities)
-    nvars = len(cone.equalities) + len(face.active)
     active = sorted(face.active)
-    coeff_rows = []
-    for k in range(cone.dim):
-        row = [Fraction(e[k]) for e in cone.equalities]
-        row += [Fraction(-cone.inequalities[i][k]) for i in active]
-        coeff_rows.append((row, residual[k]))
-    lam_rows = []
-    for j in range(len(active)):
-        lam = [Fraction(0)] * nvars
-        lam[len(cone.equalities) + j] = Fraction(1)
-        lam_rows.append((lam, Fraction(0)))
-    assert (
-        nvars == 0
-        and all(c == 0 for c in residual)
-        or lp_feasible(nvars, equalities=coeff_rows, weak_inequalities=lam_rows)
-        is not None
-    )
+    zeros = [i for i, a in enumerate(cone.inequalities) if dot(a, q) == 0]
+    if zeros != active or any(dot(e, q) for e in cone.equalities):
+        raise ProjectionMismatch(
+            f"nearest point is not inside the face with active set {active}"
+        )
+    residual = tuple(a - b for a, b in zip(p, q))
+    if any(matvec(face.proj, residual)):
+        raise ProjectionMismatch("residual is not orthogonal to the face")
+    rays, _ = _cone_covectors(cone)
+    if (
+        dot(residual, q)
+        or any(dot(residual, v) for v in _lineality_basis(cone))
+        or any(dot(residual, v) > 0 for _, _, v in rays)
+    ):
+        raise ProjectionMismatch("residual is not in the normal cone")
     return q, face.dim
 
 
@@ -160,16 +160,18 @@ def _lineality_basis(cone):
 
 
 def _implicit_equalities(cone):
-    """Inequality indices that hold with equality on the whole cone."""
-    n = cone.dim
-    eqs = [(e, Fraction(0)) for e in cone.equalities]
-    weaks = [(a, Fraction(0)) for a in cone.inequalities]
-    out = set()
-    for i, a in enumerate(cone.inequalities):
-        probe = weaks + [(a, Fraction(1))]
-        if lp_feasible(n, equalities=eqs, weak_inequalities=probe) is None:
-            out.add(i)
-    return out
+    """Inequality indices that hold with equality on the whole cone: those
+    outside the positive support of every ray."""
+    rays, _ = _cone_covectors(cone)
+    neq = len(cone.equalities)
+    positive = 0
+    for p, _, _ in rays:
+        positive |= p
+    return {
+        i
+        for i in range(len(cone.inequalities))
+        if not positive >> (neq + i) & 1
+    }
 
 
 def _planar_angle(cone, lin_basis, implicit):

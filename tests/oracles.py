@@ -5,6 +5,12 @@ LP per genuine split, and `_essentially_bounded` decides boundedness with
 one LP; both are kept as they were before face enumeration moved to the
 cocircuit closure in `titskit.geometry`.  `witness_support_closure` is the
 support closure computed from a face's witness and hull basis.
+
+`cone_faces_lp` (one LP per subset of inequalities), `implicit_equalities_lp`
+(one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
+for the active-set multipliers with an LP) are kept as they were before
+cone faces moved to the covectors of the cone's rows in
+`titskit.intrinsic`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from titskit.geometry import Face, FaceSet
-from titskit.linalg import dot
+from titskit.intrinsic import ConeFace
+from titskit.linalg import dot, matvec, nullspace, projection_matrix
 from titskit.lp import lp_feasible
 
 
@@ -165,3 +172,100 @@ def witness_support_closure(arr, face):
         if all(dot(h.normal, v) == 0 for v in face.hull_basis):
             out.append(j)
     return frozenset(out)
+
+
+def cone_faces_lp(cone):
+    """All faces of the cone, each with its exact active set.
+
+    A subset S of inequality indices defines a face when the system
+    {equalities, a_i x = 0 for i in S, a_j x > 0 for j outside S} is
+    feasible; the strictness pins S to the full active set, so faces come
+    out without duplicates.  Sorted largest active set first.
+    """
+    n = cone.dim
+    idx = range(len(cone.inequalities))
+    eq_rows = [(e, Fraction(0)) for e in cone.equalities]
+    out = []
+    for mask in range(1 << len(cone.inequalities)):
+        subset = [i for i in idx if mask >> i & 1]
+        eqs = eq_rows + [(cone.inequalities[i], Fraction(0)) for i in subset]
+        stricts = [
+            (cone.inequalities[j], Fraction(0))
+            for j in idx
+            if not mask >> j & 1
+        ]
+        if lp_feasible(n, equalities=eqs, strict_inequalities=stricts) is None:
+            continue
+        span_rows = list(cone.equalities) + [
+            cone.inequalities[i] for i in subset
+        ]
+        basis = nullspace(span_rows, n)
+        proj = projection_matrix(basis, n)
+        out.append(
+            ConeFace(
+                active=frozenset(subset),
+                dim=len(basis),
+                proj=tuple(tuple(row) for row in proj),
+            )
+        )
+    out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
+    return out
+
+
+def project_to_cone_lp(cone, point, faces=None):
+    """Exact nearest point of the cone, with the face dimension it lies in.
+
+    The projection is the feasible candidate of minimal distance among the
+    orthogonal projections onto the spans of all faces; ties share the same
+    point and the largest active set names the face containing it in its
+    relative interior.  The characterizing conditions (membership,
+    orthogonality to the face span, and the residual lying in the outward
+    normal cone) are all verified before returning.
+    """
+    p = tuple(Fraction(c) for c in point)
+    if faces is None:
+        faces = cone_faces_lp(cone)
+    best = None
+    for face in faces:
+        q = matvec(face.proj, p)
+        if any(dot(a, q) < 0 for a in cone.inequalities):
+            continue
+        dist = sum((a - b) ** 2 for a, b in zip(p, q))
+        if best is None or dist < best[0]:
+            best = (dist, face, q)
+    _, face, q = best
+    residual = tuple(a - b for a, b in zip(p, q))
+    assert all(c == 0 for c in matvec(face.proj, residual))
+    assert all(dot(e, q) == 0 for e in cone.equalities)
+    nvars = len(cone.equalities) + len(face.active)
+    active = sorted(face.active)
+    coeff_rows = []
+    for k in range(cone.dim):
+        row = [Fraction(e[k]) for e in cone.equalities]
+        row += [Fraction(-cone.inequalities[i][k]) for i in active]
+        coeff_rows.append((row, residual[k]))
+    lam_rows = []
+    for j in range(len(active)):
+        lam = [Fraction(0)] * nvars
+        lam[len(cone.equalities) + j] = Fraction(1)
+        lam_rows.append((lam, Fraction(0)))
+    assert (
+        nvars == 0
+        and all(c == 0 for c in residual)
+        or lp_feasible(nvars, equalities=coeff_rows, weak_inequalities=lam_rows)
+        is not None
+    )
+    return q, face.dim
+
+
+def implicit_equalities_lp(cone):
+    """Inequality indices that hold with equality on the whole cone."""
+    n = cone.dim
+    eqs = [(e, Fraction(0)) for e in cone.equalities]
+    weaks = [(a, Fraction(0)) for a in cone.inequalities]
+    out = set()
+    for i, a in enumerate(cone.inequalities):
+        probe = weaks + [(a, Fraction(1))]
+        if lp_feasible(n, equalities=eqs, weak_inequalities=probe) is None:
+            out.add(i)
+    return out

@@ -6,6 +6,7 @@ import pytest
 
 from titskit.geometry import HomogeneousCone, recession_cone
 from titskit.intrinsic import (
+    ProjectionMismatch,
     cone_faces,
     conic_intrinsic_volumes,
     face_intrinsic_volumes,
@@ -53,6 +54,18 @@ def test_projection_examples():
     assert q == (0, 5) and d == 1
     q, d = project_to_cone(LINE, (4, -9))
     assert q == (4, 0) and d == 1
+
+
+def test_projection_rejects_corrupted_faces():
+    # without the face x = 0, y > 0: (0, 5) would be named the interior
+    # of the quadrant, and (-3, 5) would project to the apex
+    faces = [f for f in cone_faces(QUADRANT) if f.active != {0}]
+    with pytest.raises(ProjectionMismatch, match="not inside the face"):
+        project_to_cone(QUADRANT, (0, 5), faces=faces)
+    with pytest.raises(ProjectionMismatch, match="normal cone"):
+        project_to_cone(QUADRANT, (-3, 5), faces=faces)
+    with pytest.raises(ProjectionMismatch, match="no face"):
+        project_to_cone(QUADRANT, (1, 1), faces=[])
 
 
 def test_projection_onto_braid_chamber():
