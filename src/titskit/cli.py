@@ -29,11 +29,9 @@ from .elements import (
 from .geometry import enumerate_faces, recession_cone, signs_to_str
 from .intrinsic import (
     DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     intrinsic_element,
-    klivans_swartz_charpoly,
+    klivans_swartz_from_profiles,
     try_exact_profile,
-    conic_intrinsic_volumes,
     verify_intrinsic_product,
 )
 from .lattice import build_lattice
@@ -50,6 +48,13 @@ from .tits import (
 )
 
 _FLOOR = 1e-9
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -84,7 +89,7 @@ def build_parser():
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument(
         "--samples",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_SAMPLES,
         help="Monte Carlo sample count",
     )
@@ -409,7 +414,7 @@ def _q_basis_check(lattice):
     return {"name": "q-basis", "ok": ok, "flats": len(lattice)}
 
 
-def _product_checks(arr, faces, s, t, samples, seed, base=None):
+def _product_checks(arr, faces, nu, s, t):
     checks = []
     if arr.kind == "braid":
         a = adams_a(faces)
@@ -423,9 +428,7 @@ def _product_checks(arr, faces, s, t, samples, seed, base=None):
                 "t": str(t),
             }
         )
-    rep = verify_intrinsic_product(
-        faces, s, t, samples=samples, seed=seed, base=base
-    )
+    rep = verify_intrinsic_product(faces, nu, s, t)
     checks.append(
         {
             "name": "intrinsic-product",
@@ -489,8 +492,8 @@ def _nu_checks(faces, nu):
     return out
 
 
-def _klivans_swartz_check(faces, lattice, samples, seed):
-    rep = klivans_swartz_charpoly(faces, lattice, samples=samples, seed=seed)
+def _klivans_swartz_check(faces, lattice, profiles):
+    rep = klivans_swartz_from_profiles(faces, lattice, profiles)
     return {
         "name": "klivans-swartz",
         "ok": rep.ok(),
@@ -511,7 +514,10 @@ def _cmd_verify(arr, faces, lattice, args):
     elif args.what == "deletion":
         checks += _deletion_checks(arr, faces, lattice, args.hyperplane)
     elif args.what == "product":
-        checks += _product_checks(arr, faces, s, t, args.samples, args.seed)
+        nu = intrinsic_element(
+            arr, faces, samples=args.samples, seed=args.seed
+        )
+        checks += _product_checks(arr, faces, nu, s, t)
     else:
         checks.append(_unit_identity_check(faces))
         checks += _characteristic_checks(arr, faces, lattice)
@@ -533,14 +539,10 @@ def _cmd_verify(arr, faces, lattice, args):
         nu = intrinsic_element(
             arr, faces, samples=args.samples, seed=args.seed
         )
-        checks += _product_checks(
-            arr, faces, s, t, args.samples, args.seed, base=nu
-        )
+        checks += _product_checks(arr, faces, nu, s, t)
         checks += _nu_checks(faces, nu)
         checks.append(_profile_consistency_check(faces, nu.profiles))
-        checks.append(
-            _klivans_swartz_check(faces, lattice, args.samples, args.seed)
-        )
+        checks.append(_klivans_swartz_check(faces, lattice, nu.profiles))
     results = {"checked": len(checks)}
     human = []
     for c in sorted(checks, key=lambda c: c["name"]):
@@ -551,36 +553,37 @@ def _cmd_verify(arr, faces, lattice, args):
 
 
 def _cmd_intrinsic(arr, faces, lattice, args):
-    profiles = {}
+    if args.exact_only:
+        profiles = {}
+        for f in faces:
+            prof = try_exact_profile(recession_cone(arr, f))
+            if prof is not None:
+                profiles[f.signs] = prof
+    else:
+        profiles = intrinsic_element(
+            arr, faces, samples=args.samples, seed=args.seed
+        ).profiles
     rows = []
     skipped = []
     for f in faces:
-        cone = recession_cone(arr, f)
-        prof = try_exact_profile(cone)
-        if prof is None:
-            if args.exact_only:
-                skipped.append(f.signs)
-                rows.append(
-                    {
-                        "sign_vector": signs_to_str(f.signs),
-                        "dim": f.dim,
-                        "method": "unavailable",
-                    }
-                )
-                continue
-            prof = conic_intrinsic_volumes(
-                cone, samples=args.samples, seed=args.seed
+        if f.signs in profiles:
+            rows.append(_profile_json(f.signs, profiles[f.signs], dim=f.dim))
+        else:
+            skipped.append(f.signs)
+            rows.append(
+                {
+                    "sign_vector": signs_to_str(f.signs),
+                    "dim": f.dim,
+                    "method": "unavailable",
+                }
             )
-        profiles[f.signs] = prof
-        rows.append(_profile_json(f.signs, prof, dim=f.dim))
     checks = []
     computed = [f for f in faces if f.signs in profiles]
     if computed:
         checks.append(_profile_consistency_check(computed, profiles))
-    chambers_done = all(c.signs in profiles for c in faces.chambers())
     ks = None
-    if chambers_done:
-        ks = _klivans_swartz_check(faces, lattice, args.samples, args.seed)
+    if all(c.signs in profiles for c in faces.chambers()):
+        ks = _klivans_swartz_check(faces, lattice, profiles)
         checks.append(ks)
     results = {
         "profiles": rows,
@@ -627,6 +630,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     arr = _load_arrangement(args, parser)
+    hyperplane = getattr(args, "hyperplane", None)
+    if hyperplane is not None and not 0 <= hyperplane < arr.m:
+        parser.error(
+            f"--hyperplane must lie in [0, {arr.m}), got {hyperplane}"
+        )
     faces = enumerate_faces(arr)
     lattice = build_lattice(arr, faces)
     built = time.perf_counter()

@@ -20,6 +20,12 @@ A cone's faces, implicit equalities and rays come from the covectors of
 its own rows, not from an LP per subset of inequalities: the rays are the
 cocircuits that are 0 on the equalities and nowhere negative, and the faces
 are their closure under composition (geometry._cone_covectors).
+
+Each face's recession cone is profiled once, by intrinsic_element, into
+the table IntrinsicElement.profiles (face signs -> ConicVolumeProfile).
+Klivans-Swartz reads the chamber entries of that table
+(klivans_swartz_from_profiles) and the multiplicativity check evaluates the
+element built from it, so neither samples a cone again.
 """
 
 from __future__ import annotations
@@ -406,22 +412,18 @@ class KlivansSwartzReport:
         )
 
 
-def klivans_swartz_charpoly(
-    faces, lattice, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, force_mc=False
-):
-    """Coefficients of chi from chamber cone volumes:
+def klivans_swartz_from_profiles(faces, lattice, profiles):
+    """Coefficients of chi from the chamber entries of a profile table
+    (face signs -> ConicVolumeProfile):
 
     [t^j] chi = (-1)^(rank - j) * sum over chambers C of v_(j+d)(C).
     """
     d = lattice.d
     r = lattice.rank_top()
-    arr = faces.arr
     sums = [0.0] * (r + 1)
     hw = [0.0] * (r + 1)
     for c in faces.chambers():
-        prof = face_intrinsic_volumes(
-            arr, c, samples=samples, seed=seed, force_mc=force_mc
-        )
+        prof = profiles[c.signs]
         for j in range(r + 1):
             sums[j] += prof.values[j + d]
             hw[j] += prof.half_width[j + d]
@@ -437,6 +439,19 @@ def klivans_swartz_charpoly(
     )
 
 
+def klivans_swartz_charpoly(
+    faces, lattice, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, force_mc=False
+):
+    """Klivans-Swartz from freshly profiled chamber cones."""
+    profiles = {
+        c.signs: face_intrinsic_volumes(
+            faces.arr, c, samples=samples, seed=seed, force_mc=force_mc
+        )
+        for c in faces.chambers()
+    }
+    return klivans_swartz_from_profiles(faces, lattice, profiles)
+
+
 @dataclass(frozen=True)
 class ProductReport:
     s: float
@@ -449,27 +464,15 @@ class ProductReport:
         return self.max_deviation <= self.tolerance
 
 
-def verify_intrinsic_product(
-    faces,
-    s,
-    t,
-    samples=DEFAULT_SAMPLES,
-    seed=DEFAULT_SEED,
-    force_mc=False,
-    base=None,
-):
+def verify_intrinsic_product(faces, nu, s, t):
     """Numeric check of multiplicativity: nu_s nu_t = nu_(s t).
 
-    All three elements come from one set of volume profiles, so the
+    All three elements come from the one profile table of nu, so the
     comparison isolates the algebra.  The tolerance scales the summed MC
     half-widths by a crude bound on the coefficient growth of the product.
     """
-    if base is None:
-        base = intrinsic_element(
-            faces.arr, faces, samples=samples, seed=seed, force_mc=force_mc
-        )
-    left = multiply(faces, base.evaluate(float(s)), base.evaluate(float(t)))
-    right = base.evaluate(float(s) * float(t))
+    left = multiply(faces, nu.evaluate(float(s)), nu.evaluate(float(t)))
+    right = nu.evaluate(float(s) * float(t))
     keys = set(left.coeffs) | set(right.coeffs)
     dev = 0.0
     for k in keys:
@@ -478,7 +481,7 @@ def verify_intrinsic_product(
         (f.dim for f in faces), default=1
     )
     tol = _FLOAT_FLOOR + growth * len(faces) * sum(
-        max(p.half_width) for p in base.profiles.values()
+        max(p.half_width) for p in nu.profiles.values()
     )
     return ProductReport(
         s=float(s), t=float(t), max_deviation=dev, tolerance=tol

@@ -133,12 +133,8 @@ class FlatLattice:
             acc = acc + self.mobius(y, self.top) * T ** self.flats[y].rank
         return acc
 
-    def support(self, face):
-        """The flat spanned by a face (its support)."""
-        signs = face.signs if hasattr(face, "signs") else tuple(face)
-        return self.flats[self.face_support[signs]]
-
     def support_index(self, face):
+        """Index of the flat spanned by a face (its support)."""
         signs = face.signs if hasattr(face, "signs") else tuple(face)
         return self.face_support[signs]
 

@@ -7,7 +7,7 @@ elimination with exact pivots is both adequate and simplest to trust.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def dot(u, v):
@@ -75,14 +75,6 @@ def solve(rows, rhs):
     return tuple(x)
 
 
-def in_rowspace(rows, vec):
-    """Whether vec lies in the row space of rows."""
-    if not rows:
-        return all(c == 0 for c in vec)
-    base = matrix_rank(rows)
-    return matrix_rank(list(rows) + [list(vec)]) == base
-
-
 def projection_matrix(vectors, n):
     """Orthogonal projection onto span(vectors), as an n x n Fraction matrix."""
     red, pivots = rref(vectors) if vectors else ([], [])
@@ -103,10 +95,6 @@ def projection_matrix(vectors, n):
                 (basis[r][i] * y_cols[j][r] for r in range(k)), Fraction(0)
             )
     return p
-
-
-def lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def common_denominator(fractions_iter):

@@ -3,7 +3,10 @@ import json
 import pytest
 
 import titskit.cli as cli
+from titskit import intrinsic
 from titskit.cli import main
+
+from conftest import get_trio
 
 
 def run(capsys, argv):
@@ -164,12 +167,45 @@ def test_usage_errors_exit_2(capsys):
         ["charpoly", "--family", "rainbow", "--n", "3"],
         ["element", "adams", "--family", "coordinate", "--n", "2"],
         ["charpoly", "--file", "/nonexistent/arr.json"],
+        ["verify", "deletion", "--family", "braid", "--n", "3",
+         "--hyperplane", "9"],
+        ["verify", "all", "--family", "braid", "--n", "3",
+         "--hyperplane", "-1"],
+        ["verify", "all", "--family", "braid", "--n", "4", "--samples", "0"],
+        ["intrinsic", "--family", "braid", "--n", "3", "--samples", "-5"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["verify", "all"], ["intrinsic"]])
+def test_each_chamber_is_sampled_once(capsys, monkeypatch, command):
+    # the 24 braid4 chambers are the only cones that need Monte Carlo;
+    # Klivans-Swartz must read their profiles, not sample them again
+    _, faces, lat = get_trio("braid4")
+    expected = intrinsic.klivans_swartz_charpoly(
+        faces, lat, samples=2000, seed=3
+    ).estimate
+    sampled = []
+    mc_profile = intrinsic._mc_profile
+
+    def counting(cone, samples, seed):
+        sampled.append(cone)
+        return mc_profile(cone, samples, seed)
+
+    monkeypatch.setattr(intrinsic, "_mc_profile", counting)
+    code, rep = run_json(
+        capsys,
+        command + ["--family", "braid", "--n", "4", "--samples", "2000",
+                   "--seed", "3"],
+    )
+    assert code == 0
+    assert len(sampled) == 24
+    ks = next(c for c in rep["checks"] if c["name"] == "klivans-swartz")
+    assert ks["estimate"] == list(expected)
 
 
 def test_intrinsic_exact_only_braid4(capsys):

@@ -276,10 +276,13 @@ def test_klivans_swartz_monte_carlo():
 
 def test_intrinsic_product_identity():
     for name in ["braid3", "triangle", "coord2"]:
-        _, faces, _ = get_trio(name)
-        rep = verify_intrinsic_product(faces, Fraction(2), Fraction(3))
+        arr, faces, _ = get_trio(name)
+        nu = intrinsic_element(arr, faces)
+        rep = verify_intrinsic_product(faces, nu, Fraction(2), Fraction(3))
         assert rep.ok and rep.max_deviation < 1e-9
-        rep = verify_intrinsic_product(faces, Fraction(-3, 2), Fraction(1, 2))
+        rep = verify_intrinsic_product(
+            faces, nu, Fraction(-3, 2), Fraction(1, 2)
+        )
         assert rep.ok
 
 

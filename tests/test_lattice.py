@@ -65,7 +65,7 @@ def test_braid3_structure():
 def test_support_of_faces():
     arr, faces, lat = get_trio("braid3")
     chamber = faces.face((-1, -1, -1))
-    assert lat.support(chamber) == lat.flat(lat.top)
+    assert lat.flat(lat.support_index(chamber)) == lat.flat(lat.top)
     center = faces.face((0, 0, 0))
     assert lat.flat(lat.support_index(center)).closure == frozenset({0, 1, 2})
     wall = faces.face((0, -1, -1))
