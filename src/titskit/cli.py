@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from .elements import (
+    GenericDegenerate,
     WrongFamily,
     adams_a,
     adams_a_normalized,
@@ -35,7 +36,7 @@ from .intrinsic import (
     verify_intrinsic_product,
 )
 from .lattice import build_lattice
-from .scalars import T, Poly, format_scalar, parse_rational, poly_str
+from .scalars import T, Poly, format_scalar, poly_str
 from .tits import (
     basis_element,
     element_to_json,
@@ -55,6 +56,15 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}"
+        ) from None
 
 
 def build_parser():
@@ -110,8 +120,12 @@ def build_parser():
         "what",
         choices=["characteristic", "kung", "deletion", "product", "all"],
     )
-    p_ver.add_argument("--s", default="2", help="rational parameter")
-    p_ver.add_argument("--t", default="3", help="rational parameter")
+    p_ver.add_argument(
+        "--s", type=_rational, default="2", help="rational parameter"
+    )
+    p_ver.add_argument(
+        "--t", type=_rational, default="3", help="rational parameter"
+    )
     p_ver.add_argument(
         "--hyperplane",
         type=int,
@@ -139,7 +153,7 @@ def _load_arrangement(args, parser):
         return build_family(
             args.family, n=args.n, m=args.m, seed=args.seed
         )
-    except (WrongFamily, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, GenericDegenerate) as exc:
         parser.error(str(exc))
 
 
@@ -504,8 +518,7 @@ def _klivans_swartz_check(faces, lattice, profiles):
 
 
 def _cmd_verify(arr, faces, lattice, args):
-    s = parse_rational(args.s)
-    t = parse_rational(args.t)
+    s, t = args.s, args.t
     checks = []
     if args.what == "characteristic":
         checks += _characteristic_checks(arr, faces, lattice)

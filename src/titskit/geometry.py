@@ -408,32 +408,6 @@ def enumerate_faces(arr):
     return FaceSet(arr, faces)
 
 
-def _conformal_cocircuits(arr, signs):
-    """Cocircuits conformally below signs (with x0 = + appended); NotAFace
-    unless they cover its support, which is exactly when it is a face."""
-    if len(signs) != arr.m:
-        raise NotAFace(f"sign vector has length {len(signs)}, expected {arr.m}")
-    p = sum(1 << j for j, s in enumerate(signs) if s > 0) | 1 << arr.m
-    q = sum(1 << j for j, s in enumerate(signs) if s < 0)
-    below = _below(_cocircuits(_lift(arr)), p, q)
-    covered = 0
-    for cp, cq, _ in below:
-        covered |= cp | cq
-    if covered != p | q:
-        raise NotAFace(f"{signs_to_str(signs)} is not realizable")
-    return below
-
-
-def face_dimension(arr, signs):
-    """Dimension of the face with the given sign vector (NotAFace if none)."""
-    signs = tuple(signs)
-    _conformal_cocircuits(arr, signs)
-    zero_normals = [
-        arr.hyperplanes[j].normal for j, s in enumerate(signs) if s == 0
-    ]
-    return arr.dim - matrix_rank(zero_normals)
-
-
 def recession_cone(arr, face):
     """Directions along which the face recedes, as a homogeneous cone."""
     signs = face.signs if isinstance(face, Face) else tuple(face)
@@ -448,13 +422,6 @@ def recession_cone(arr, face):
     return HomogeneousCone(
         dim=arr.dim, equalities=tuple(eqs), inequalities=tuple(ineqs)
     )
-
-
-def is_essentially_bounded(arr, signs):
-    """Whether the face with this sign vector (NotAFace if none) is
-    essentially bounded, i.e. bounded modulo the lineality space of the
-    arrangement."""
-    return _bounded(_conformal_cocircuits(arr, tuple(signs)), arr.m)
 
 
 def lineality_space(arr):

@@ -216,8 +216,8 @@ def _planar_angle(cone, lin_basis, implicit):
     return acos(max(-1.0, min(1.0, cosine)))
 
 
-def _exact_profile(cone):
-    """Exact volumes for essential dimension <= 2, else None."""
+def try_exact_profile(cone):
+    """Exact profile when available (essential dimension <= 2), else None."""
     n = cone.dim
     lin = _lineality_basis(cone)
     implicit = _implicit_equalities(cone)
@@ -241,7 +241,11 @@ def _exact_profile(cone):
         values[ell + 2] = frac
     else:
         return None
-    return tuple(values)
+    return ConicVolumeProfile(
+        values=tuple(values),
+        half_width=tuple(0.0 for _ in values),
+        method="exact",
+    )
 
 
 def _mc_profile(cone, samples, seed):
@@ -306,18 +310,6 @@ def _mc_profile(cone, samples, seed):
 
     values = tuple(float(c) / samples for c in counts)
     return values
-
-
-def try_exact_profile(cone):
-    """Exact profile when available (essential dimension <= 2), else None."""
-    values = _exact_profile(cone)
-    if values is None:
-        return None
-    return ConicVolumeProfile(
-        values=values,
-        half_width=tuple(0.0 for _ in values),
-        method="exact",
-    )
 
 
 def conic_intrinsic_volumes(

@@ -2,21 +2,22 @@
 
 A flat is a nonempty intersection of hyperplanes (including the empty
 intersection, the ambient space).  Flats are keyed by their closures: the
-set of ALL hyperplane indices containing the subspace.  Under the inclusion
-order the ambient space is the top element; joins always exist (the closure
-of the join is the intersection of the closures) while meets may not in the
-affine case.  Ranks are dimensions shifted by the common lineality
-dimension d, which equals the minimal face dimension; gradedness of the
-poset by this rank is validated explicitly when the lattice is built.
+set of ALL hyperplane indices containing the subspace.  Every flat is the
+affine hull of a face, so the flats are the zero sets of the faces, and a
+flat's dimension is the dimension of its faces; no linear algebra is done
+here.  Under the inclusion order the ambient space is the top element;
+joins always exist (the closure of the join is the intersection of the
+closures) while meets may not in the affine case.  Ranks are dimensions
+shifted by the common lineality dimension d, the smallest flat dimension;
+gradedness of the poset by this rank is validated explicitly when the
+lattice is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .geometry import FaceSet, lineality_space
-from .linalg import matrix_rank
+from .geometry import Arrangement, FaceSet
 from .scalars import Poly, T
 
 
@@ -145,28 +146,33 @@ def support_closure(arr, face):
     return frozenset(j for j, s in enumerate(face.signs) if s == 0)
 
 
-def _flats_from_closures(arr, closures, d):
-    flats = []
-    for c in sorted(closures, key=lambda c: (len(c), sorted(c))):
-        normals = [arr.hyperplanes[j].normal for j in c]
-        dim = arr.dim - matrix_rank(normals)
-        flats.append(Flat(closure=c, dim=dim, rank=dim - d))
-    flats.sort(key=lambda f: (f.rank, sorted(f.closure)))
-    return flats
+def _lattice(arr, dims):
+    """Flat lattice from (sign vector, dim) pairs covering the faces.
+
+    Each flat is a zero set, with the largest dim among the pairs that
+    share it; a sign vector may repeat.  d is the smallest flat dim, and
+    every sign vector maps to the flat of its zero set.
+    """
+    zeros = {}
+    flat_dim = {}
+    for signs, dim in dims:
+        c = frozenset(j for j, s in enumerate(signs) if s == 0)
+        zeros[signs] = c
+        flat_dim[c] = max(dim, flat_dim.get(c, dim))
+    d = min(flat_dim.values())
+    flats = sorted(
+        (Flat(closure=c, dim=dim, rank=dim - d) for c, dim in flat_dim.items()),
+        key=lambda f: (f.rank, sorted(f.closure)),
+    )
+    index = {f.closure: i for i, f in enumerate(flats)}
+    return FlatLattice(arr, flats, {s: index[c] for s, c in zeros.items()})
 
 
 def build_lattice(arr, faces):
-    """Flat lattice of an arrangement, from the supports of its faces."""
+    """Flat lattice of an arrangement: the zero sets of its faces, each
+    with the dimension of its faces."""
     assert isinstance(faces, FaceSet) and faces.arr is arr
-    d = len(lineality_space(arr))
-    support_of = {f.signs: support_closure(arr, f) for f in faces}
-    closures = set(support_of.values())
-    flats = _flats_from_closures(arr, closures, d)
-    index = {f.closure: i for i, f in enumerate(flats)}
-    face_support = {signs: index[c] for signs, c in support_of.items()}
-    lat = FlatLattice(arr, flats, face_support)
-    assert faces.min_dim == d
-    return lat
+    return _lattice(arr, ((f.signs, f.dim) for f in faces))
 
 
 def charpoly_under(lattice, x):
@@ -207,8 +213,6 @@ class SubarrangementMap:
 
 
 def subarrangement_map(arr, indices):
-    from .geometry import Arrangement
-
     indices = tuple(indices)
     for i in indices:
         if not 0 <= i < arr.m:
@@ -227,28 +231,23 @@ def subarrangement_map(arr, indices):
 def deletion_lattice(arr, lattice, h):
     """Flat lattice of the arrangement with hyperplane h removed.
 
-    Flats of the deletion are exactly the flats of the full arrangement that
-    are still cut out by their closure minus h; this avoids re-running face
+    The covectors of a deletion are the restrictions of the covectors of
+    the full arrangement, so the faces of the deletion are the faces of
+    `lattice.face_support` with entry h dropped.  A face of the deletion
+    is a union of faces of the full arrangement, and its flat has the
+    largest dimension among their flats.  This avoids re-running face
     enumeration.  Returns (deleted_arrangement, its_lattice).
     """
-    from .geometry import Arrangement
-
     if not 0 <= h < arr.m:
         raise IndexOutOfRange(f"hyperplane index {h} out of range")
-    keep = [i for i in range(arr.m) if i != h]
-    reindex = {old: new for new, old in enumerate(keep)}
     sub = Arrangement(
         dim=arr.dim,
-        hyperplanes=tuple(arr.hyperplanes[i] for i in keep),
+        hyperplanes=tuple(arr.hyperplanes[:h] + arr.hyperplanes[h + 1:]),
         kind="custom",
         params={"deleted": h, "from": arr.kind},
     )
-    closures = set()
-    for f in lattice.flats:
-        trimmed = f.closure - {h}
-        normals = [arr.hyperplanes[j].normal for j in trimmed]
-        if arr.dim - matrix_rank(normals) == f.dim:
-            closures.add(frozenset(reindex[j] for j in trimmed))
-    d = len(lineality_space(sub))
-    flats = _flats_from_closures(sub, closures, d)
-    return sub, FlatLattice(sub, flats)
+    dims = (
+        (signs[:h] + signs[h + 1:], lattice.flat(x).dim)
+        for signs, x in lattice.face_support.items()
+    )
+    return sub, _lattice(sub, dims)

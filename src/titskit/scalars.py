@@ -203,11 +203,6 @@ def scalar_kind(x):
     raise TypeError(f"unsupported scalar {type(x).__name__}")
 
 
-def parse_rational(s):
-    """Parse 'p' or 'p/q' into a Fraction."""
-    return Fraction(str(s))
-
-
 def format_scalar(x):
     if isinstance(x, Poly):
         return poly_str(x)

@@ -6,6 +6,12 @@ one LP; both are kept as they were before face enumeration moved to the
 cocircuit closure in `titskit.geometry`.  `witness_support_closure` is the
 support closure computed from a face's witness and hull basis.
 
+`build_lattice_rank` and `deletion_lattice_rank` give each flat the
+dimension of the intersection of its hyperplanes by exact rank, and d the
+dimension of the lineality space; they are kept as they were before the
+flat lattice was built from the zero sets and dimensions of the faces in
+`titskit.lattice`.
+
 `cone_faces_lp` (one LP per subset of inequalities), `implicit_equalities_lp`
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
 for the active-set multipliers with an LP) are kept as they were before
@@ -17,9 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from titskit.geometry import Face, FaceSet
+from titskit.geometry import Arrangement, Face, FaceSet, lineality_space
 from titskit.intrinsic import ConeFace
-from titskit.linalg import dot, matvec, nullspace, projection_matrix
+from titskit.lattice import Flat, FlatLattice, IndexOutOfRange, support_closure
+from titskit.linalg import dot, matrix_rank, matvec, nullspace, projection_matrix
 from titskit.lp import lp_feasible
 
 
@@ -172,6 +179,55 @@ def witness_support_closure(arr, face):
         if all(dot(h.normal, v) == 0 for v in face.hull_basis):
             out.append(j)
     return frozenset(out)
+
+
+def _flats_from_closures(arr, closures, d):
+    flats = []
+    for c in sorted(closures, key=lambda c: (len(c), sorted(c))):
+        normals = [arr.hyperplanes[j].normal for j in c]
+        dim = arr.dim - matrix_rank(normals)
+        flats.append(Flat(closure=c, dim=dim, rank=dim - d))
+    flats.sort(key=lambda f: (f.rank, sorted(f.closure)))
+    return flats
+
+
+def build_lattice_rank(arr, faces):
+    """Flat lattice of an arrangement, from the supports of its faces."""
+    d = len(lineality_space(arr))
+    support_of = {f.signs: support_closure(arr, f) for f in faces}
+    closures = set(support_of.values())
+    flats = _flats_from_closures(arr, closures, d)
+    index = {f.closure: i for i, f in enumerate(flats)}
+    face_support = {signs: index[c] for signs, c in support_of.items()}
+    return FlatLattice(arr, flats, face_support)
+
+
+def deletion_lattice_rank(arr, lattice, h):
+    """Flat lattice of the arrangement with hyperplane h removed.
+
+    Flats of the deletion are exactly the flats of the full arrangement that
+    are still cut out by their closure minus h.  Returns
+    (deleted_arrangement, its_lattice); the lattice has no face supports.
+    """
+    if not 0 <= h < arr.m:
+        raise IndexOutOfRange(f"hyperplane index {h} out of range")
+    keep = [i for i in range(arr.m) if i != h]
+    reindex = {old: new for new, old in enumerate(keep)}
+    sub = Arrangement(
+        dim=arr.dim,
+        hyperplanes=tuple(arr.hyperplanes[i] for i in keep),
+        kind="custom",
+        params={"deleted": h, "from": arr.kind},
+    )
+    closures = set()
+    for f in lattice.flats:
+        trimmed = f.closure - {h}
+        normals = [arr.hyperplanes[j].normal for j in trimmed]
+        if arr.dim - matrix_rank(normals) == f.dim:
+            closures.add(frozenset(reindex[j] for j in trimmed))
+    d = len(lineality_space(sub))
+    flats = _flats_from_closures(sub, closures, d)
+    return sub, FlatLattice(sub, flats)
 
 
 def cone_faces_lp(cone):

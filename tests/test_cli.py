@@ -159,7 +159,11 @@ def test_failing_check_exits_1(capsys, monkeypatch):
     assert "FAILED" in err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
+    list_file = tmp_path / "list.json"
+    list_file.write_text("[1, 2]")
+    count_file = tmp_path / "count.json"
+    count_file.write_text('{"dim": 2, "hyperplanes": 5}')
     cases = [
         ["charpoly", "--family", "braid"],  # missing --n
         ["charpoly"],  # no source
@@ -173,6 +177,13 @@ def test_usage_errors_exit_2(capsys):
          "--hyperplane", "-1"],
         ["verify", "all", "--family", "braid", "--n", "4", "--samples", "0"],
         ["intrinsic", "--family", "braid", "--n", "3", "--samples", "-5"],
+        ["verify", "kung", "--family", "braid", "--n", "3", "--s", "abc"],
+        ["verify", "kung", "--family", "braid", "--n", "3", "--s", "1/0"],
+        ["verify", "kung", "--family", "braid", "--n", "3", "--t", "x/2"],
+        ["charpoly", "--family", "generic", "--n", "1", "--m", "60"],
+        ["charpoly", "--family", "generic", "--n", "2", "--m", "-1"],
+        ["charpoly", "--file", str(list_file)],
+        ["charpoly", "--file", str(count_file)],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:

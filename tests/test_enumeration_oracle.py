@@ -13,8 +13,6 @@ from titskit.geometry import (
     NotAFace,
     canonicalize,
     enumerate_faces,
-    face_dimension,
-    is_essentially_bounded,
 )
 from titskit.linalg import matrix_rank
 
@@ -62,16 +60,13 @@ def test_enumeration_matches_lp_oracle(kind, data):
     for f in faces:
         g = oracle.face(f.signs)
         assert arr.sign_vector(f.witness) == f.signs
-        assert f.dim == g.dim == face_dimension(arr, f.signs)
+        assert f.dim == g.dim
         assert f.essentially_bounded == g.essentially_bounded
-        assert is_essentially_bounded(arr, f.signs) == g.essentially_bounded
         assert _same_span(f.hull_basis, g.hull_basis)
     signs = st.lists(st.sampled_from((-1, 0, 1)), min_size=arr.m, max_size=arr.m)
     for candidate in data.draw(st.lists(signs, max_size=4)):
         if tuple(candidate) in oracle:
-            assert face_dimension(arr, candidate) == oracle.face(candidate).dim
+            assert faces.face(candidate).dim == oracle.face(candidate).dim
         else:
             with pytest.raises(NotAFace):
-                face_dimension(arr, candidate)
-            with pytest.raises(NotAFace):
-                is_essentially_bounded(arr, candidate)
+                faces.face(candidate)

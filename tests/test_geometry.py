@@ -14,7 +14,6 @@ from titskit.geometry import (
     arrangement_to_json,
     canonicalize,
     enumerate_faces,
-    face_dimension,
     lineality_space,
     make_arrangement,
     recession_cone,
@@ -162,15 +161,15 @@ def test_enumeration_insertion_order_invariant():
 
 
 def test_face_dimension_and_not_a_face():
-    arr, faces, _ = get_trio("braid3")
+    _, faces, _ = get_trio("braid3")
     # chamber x1 < x2 < x3: pairs (0,1), (0,2), (1,2) all negative
-    assert face_dimension(arr, (-1, -1, -1)) == 3
-    assert face_dimension(arr, (0, 0, 0)) == 1
+    assert faces.face((-1, -1, -1)).dim == 3
+    assert faces.face((0, 0, 0)).dim == 1
     # x1 > x2, x2 > x3 forces x1 > x3
     with pytest.raises(NotAFace):
-        face_dimension(arr, (1, -1, 1))
+        faces.face((1, -1, 1))
     with pytest.raises(NotAFace):
-        face_dimension(arr, (1, 1))  # wrong length
+        faces.face((1, 1))  # wrong length
 
 
 def test_chambers_and_boundedness():

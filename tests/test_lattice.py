@@ -192,6 +192,7 @@ def test_deletion_lattice_matches_rebuild():
                     j, rebuilt.top
                 )
             assert dlat.charpoly() == rebuilt.charpoly()
+            assert dlat.face_support == rebuilt.face_support
 
 
 def test_deletion_index_out_of_range():
