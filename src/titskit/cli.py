@@ -147,13 +147,16 @@ def _load_arrangement(args, parser):
         if args.file is not None:
             if args.family is not None:
                 parser.error("--family and --file are mutually exclusive")
-            return build_family("file", path=args.file)
+            try:
+                return build_family("file", path=args.file)
+            except ValueError as exc:
+                parser.error(f"{args.file}: {exc}")
         if args.family is None:
             parser.error("one of --family or --file is required")
         return build_family(
             args.family, n=args.n, m=args.m, seed=args.seed
         )
-    except (ValueError, OSError, KeyError, TypeError, GenericDegenerate) as exc:
+    except (ValueError, OSError, GenericDegenerate) as exc:
         parser.error(str(exc))
 
 

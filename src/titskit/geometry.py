@@ -40,6 +40,10 @@ class WitnessMismatch(RuntimeError):
     """A computed face witness whose sign vector is not the face's."""
 
 
+class ArrangementMismatch(ValueError):
+    """Objects built on different arrangements were combined."""
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Affine hyperplane {x : normal . x = offset} in canonical form."""
@@ -133,14 +137,27 @@ def arrangement_to_json(arr):
 
 
 def arrangement_from_json(data, kind="file", params=None):
-    dim = int(data["dim"])
-    rows = [
-        (
-            [Fraction(str(c)) for c in entry["normal"]],
-            Fraction(str(entry.get("offset", 0))),
-        )
-        for entry in data["hyperplanes"]
-    ]
+    """Inverse of arrangement_to_json.  Malformed data raises ValueError
+    naming the field at fault."""
+    if not isinstance(data, dict):
+        raise ValueError("expected an object with 'dim' and 'hyperplanes'")
+    try:
+        dim = int(data["dim"])
+    except (KeyError, OverflowError, TypeError, ValueError):
+        raise ValueError("'dim' must be an integer") from None
+    try:
+        rows = [
+            (
+                [Fraction(str(c)) for c in entry["normal"]],
+                Fraction(str(entry.get("offset", 0))),
+            )
+            for entry in data["hyperplanes"]
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(
+            "'hyperplanes' must be a list of objects with a 'normal' list of "
+            "numbers and an optional numeric 'offset'"
+        ) from None
     return make_arrangement(dim, rows, kind=kind, params=params)
 
 

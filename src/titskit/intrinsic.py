@@ -4,9 +4,11 @@ The intrinsic volume v_k of a polyhedral cone C is the Gaussian measure of
 the set of points whose nearest point in C lies in a k-dimensional face.
 Two evaluation paths:
 
-* exact, when the cone has essential dimension at most two (subspaces,
-  rays and planar wedges modulo lineality); the wedge angle comes from the
-  exact extreme rays, with one arccos at the very end;
+* exact, when the cone has essential dimension at most three (subspaces,
+  rays, planar wedges and spherical polygons modulo lineality): the angles
+  between the exact extreme rays give the wedge's v_k and, by Girard's
+  theorem and McMullen's angle sums, the polygon's; floats enter only at
+  each arccos (try_exact_profile);
 * Monte Carlo otherwise.  Gaussian samples are rationalized to dyadic
   rationals, so nearest-point classification is exact integer arithmetic:
   the projection matrices onto the spans of all cone faces are scaled to a
@@ -16,10 +18,10 @@ Two evaluation paths:
   Chunked substreams keyed by (seed, chunk index) make runs reproducible
   bit for bit regardless of execution order.
 
-A cone's faces, implicit equalities and rays come from the covectors of
-its own rows, not from an LP per subset of inequalities: the rays are the
-cocircuits that are 0 on the equalities and nowhere negative, and the faces
-are their closure under composition (geometry._cone_covectors).
+A cone's faces and rays come from the covectors of its own rows, not from
+an LP per subset of inequalities: the rays are the cocircuits that are 0 on
+the equalities and nowhere negative, and the faces are their closure under
+composition (geometry._cone_covectors).
 
 Each face's recession cone is profiled once, by intrinsic_element, into
 the table IntrinsicElement.profiles (face signs -> ConicVolumeProfile).
@@ -32,12 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acos, gcd, lcm, pi, sqrt
+from math import acos, lcm, pi, sqrt
 
 from .geometry import _cone_covectors, recession_cone
 from .linalg import (
     common_denominator,
     dot,
+    matrix_rank,
     matvec,
     nullspace,
     projection_matrix,
@@ -55,6 +58,11 @@ _FLOAT_FLOOR = 1e-9
 
 class ProjectionMismatch(RuntimeError):
     """A computed nearest point that fails the exact optimality conditions."""
+
+
+class PolygonMismatch(RuntimeError):
+    """A cone of essential dimension 3 whose rays do not each lie on
+    exactly two facets."""
 
 
 @dataclass(frozen=True)
@@ -165,82 +173,82 @@ def _lineality_basis(cone):
     return nullspace(rows, cone.dim)
 
 
-def _implicit_equalities(cone):
-    """Inequality indices that hold with equality on the whole cone: those
-    outside the positive support of every ray."""
-    rays, _ = _cone_covectors(cone)
-    neq = len(cone.equalities)
-    positive = 0
-    for p, _, _ in rays:
-        positive |= p
-    return {
-        i
-        for i in range(len(cone.inequalities))
-        if not positive >> (neq + i) & 1
-    }
-
-
-def _planar_angle(cone, lin_basis, implicit):
-    """Opening angle of a pointed planar cone sitting above its lineality."""
-    n = cone.dim
-    span_rows = list(cone.equalities) + [
-        cone.inequalities[i] for i in implicit
-    ]
-    w_rows = span_rows + [tuple(v) for v in lin_basis]
-    w_basis = nullspace(w_rows, n)
-    assert len(w_basis) == 2
-    w1, w2 = w_basis
-    coords = []
-    for i, a in enumerate(cone.inequalities):
-        if i in implicit:
-            continue
-        c = (dot(a, w1), dot(a, w2))
-        if c != (0, 0):
-            coords.append(c)
-    assert coords
-    rays = []
-    for c in coords:
-        for cand in ((-c[1], c[0]), (c[1], -c[0])):
-            if all(u * cand[0] + v * cand[1] >= 0 for u, v in coords):
-                den = common_denominator(cand)
-                a0, b0 = int(cand[0] * den), int(cand[1] * den)
-                g = gcd(abs(a0), abs(b0))
-                rays.append((a0 // g, b0 // g))
-    rays = sorted(set(rays))
-    assert len(rays) == 2, f"expected a wedge, found {len(rays)} extreme rays"
-    ambient = [
-        tuple(r[0] * u + r[1] * v for u, v in zip(w1, w2)) for r in rays
-    ]
-    r1, r2 = ambient
-    cosine = float(dot(r1, r2)) / sqrt(float(dot(r1, r1)) * float(dot(r2, r2)))
+def _angle(uv, uu, vv):
+    """Angle between two vectors, from their exact dot product uv and
+    squared norms uu, vv; the float step is this final arccos."""
+    cosine = float(uv) / sqrt(float(uu) * float(vv))
     return acos(max(-1.0, min(1.0, cosine)))
 
 
 def try_exact_profile(cone):
-    """Exact profile when available (essential dimension <= 2), else None."""
+    """Exact profile when the essential dimension is at most 3, else None.
+
+    The rays (geometry._cone_covectors), projected exactly off the
+    lineality space L, span the essential space; every angle comes from
+    their Gram matrix G.  With l = dim L, a wedge of angle t has
+    v_l = 1/2 - t/2pi, v_(l+1) = 1/2, v_(l+2) = t/2pi.  In essential
+    dimension 3 the rays are the k vertices of a spherical polygon, and two
+    are adjacent when a non-implicit inequality vanishes on both (each ray
+    needs two neighbours, else PolygonMismatch).  With facet angles t_i
+    between adjacent rays and interior angles d_i at the rays (pi minus the
+    angle between the two facets' inward normals; spherical law of cosines
+    on G), Girard's theorem and McMullen's angle sums (Amelunxen, Lotz,
+    McCoy and Tropp, "Living on the edge") give v_(l+3) =
+    (sum d_i - (k - 2)pi)/4pi, v_(l+2) = sum t_i/4pi,
+    v_(l+1) = sum (pi - d_i)/4pi and v_l = (2pi - sum t_i)/4pi.
+    """
     n = cone.dim
     lin = _lineality_basis(cone)
-    implicit = _implicit_equalities(cone)
-    span_rows = list(cone.equalities) + [
-        cone.inequalities[i] for i in implicit
-    ]
-    span_dim = len(nullspace(span_rows, n))
     ell = len(lin)
-    ess = span_dim - ell
+    rays, _ = _cone_covectors(cone)
+    us = [v for _, _, v in rays]
+    if lin:
+        proj = projection_matrix(lin, n)
+        us = [tuple(a - b for a, b in zip(u, matvec(proj, u))) for u in us]
+    ess = matrix_rank(us)
+    if ess > 3:
+        return None
+    g = [[dot(u, w) for w in us] for u in us]
     values = [0.0] * (n + 1)
     if ess == 0:
         values[ell] = 1.0
     elif ess == 1:
-        values[ell] = 0.5
-        values[ell + 1] = 0.5
+        values[ell] = values[ell + 1] = 0.5
     elif ess == 2:
-        alpha = _planar_angle(cone, lin, implicit)
-        frac = alpha / (2 * pi)
-        values[ell] = 0.5 - frac
-        values[ell + 1] = 0.5
-        values[ell + 2] = frac
+        frac = _angle(g[0][1], g[0][0], g[1][1]) / (2 * pi)
+        values[ell : ell + 3] = [0.5 - frac, 0.5, frac]
     else:
-        return None
+        facets = 0
+        for p, _, _ in rays:
+            facets |= p
+        k = len(rays)
+        theta = delta = 0.0
+        for i, (p, _, _) in enumerate(rays):
+            nbrs = [
+                j
+                for j, (q, _, _) in enumerate(rays)
+                if j != i and facets & ~(p | q)
+            ]
+            if len(nbrs) != 2:
+                raise PolygonMismatch(
+                    f"ray {i} of a cone of essential dimension 3 has "
+                    f"{len(nbrs)} neighbouring rays, not 2"
+                )
+            j, m = nbrs
+            theta += sum(
+                _angle(g[i][x], g[i][i], g[x][x]) for x in nbrs if x > i
+            )
+            delta += _angle(
+                g[i][i] * g[j][m] - g[i][j] * g[i][m],
+                g[i][i] * g[j][j] - g[i][j] ** 2,
+                g[i][i] * g[m][m] - g[i][m] ** 2,
+            )
+        values[ell : ell + 4] = [
+            (2 * pi - theta) / (4 * pi),
+            (k * pi - delta) / (4 * pi),
+            theta / (4 * pi),
+            (delta - (k - 2) * pi) / (4 * pi),
+        ]
     return ConicVolumeProfile(
         values=tuple(values),
         half_width=tuple(0.0 for _ in values),
@@ -317,9 +325,11 @@ def conic_intrinsic_volumes(
 ):
     """Intrinsic volume profile of a homogeneous cone.
 
-    Cones of essential dimension <= 2 are evaluated exactly unless force_mc
-    is set; everything else falls to the seeded Monte Carlo path with a
-    conservative 3-sigma half-width of 1.5/sqrt(samples) per entry.
+    Cones of essential dimension <= 3 are evaluated exactly unless force_mc
+    is set, from the angles between their extreme rays (Girard's theorem
+    and McMullen's angle sums, see try_exact_profile); everything else
+    falls to the seeded Monte Carlo path with a conservative 3-sigma
+    half-width of 1.5/sqrt(samples) per entry.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

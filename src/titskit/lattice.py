@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Arrangement, FaceSet
+from .geometry import Arrangement, ArrangementMismatch, FaceSet
 from .scalars import Poly, T
 
 
@@ -171,7 +171,8 @@ def _lattice(arr, dims):
 def build_lattice(arr, faces):
     """Flat lattice of an arrangement: the zero sets of its faces, each
     with the dimension of its faces."""
-    assert isinstance(faces, FaceSet) and faces.arr is arr
+    if not (isinstance(faces, FaceSet) and faces.arr is arr):
+        raise ArrangementMismatch("build_lattice needs the FaceSet of arr")
     return _lattice(arr, ((f.signs, f.dim) for f in faces))
 
 

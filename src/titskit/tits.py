@@ -15,12 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import signs_to_str
+from .geometry import ArrangementMismatch, signs_to_str
 from .scalars import Poly, format_scalar, scalar_kind
 
 
 class ScalarMismatch(TypeError):
     """Two elements with different scalar variants were combined."""
+
+
+class NotClosed(ValueError):
+    """A Tits product whose sign vector is missing from the face set."""
 
 
 class TitsElement:
@@ -62,7 +66,8 @@ class TitsElement:
         return self.arr is other.arr and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        assert self.arr is other.arr
+        if self.arr is not other.arr:
+            raise ArrangementMismatch("adding elements of two arrangements")
         out = dict(self.coeffs)
         for signs, c in other.coeffs.items():
             out[signs] = out.get(signs, 0) + c
@@ -112,13 +117,15 @@ def tits_product(faces, f_signs, g_signs):
     f = faces.face(f_signs)
     g = faces.face(g_signs)
     out = compose_signs(f.signs, g.signs)
-    assert out in faces
+    if out not in faces:
+        raise NotClosed(f"{signs_to_str(out)} is missing from the face set")
     return out
 
 
 def multiply(faces, w, v):
     """Bilinear product of two Tits-algebra elements."""
-    assert w.arr is faces.arr and v.arr is faces.arr
+    if w.arr is not faces.arr or v.arr is not faces.arr:
+        raise ArrangementMismatch("multiplying another arrangement's element")
     kw, kv = w.kind, v.kind
     if w.coeffs and v.coeffs and kw != kv:
         raise ScalarMismatch(f"cannot multiply {kw} element by {kv} element")
@@ -128,7 +135,9 @@ def multiply(faces, w, v):
             key = compose_signs(fs, gs)
             out[key] = out.get(key, 0) + cf * cg
     result = TitsElement(faces.arr, out)
-    assert all(s in faces for s in result.coeffs)
+    for s in result.coeffs:
+        if s not in faces:
+            raise NotClosed(f"{signs_to_str(s)} is missing from the face set")
     return result
 
 
@@ -240,7 +249,8 @@ def flat_multiply(lattice, u, v):
 
 def pushforward(fmap, w):
     """Image of an element under a subarrangement restriction map."""
-    assert w.arr is fmap.source
+    if w.arr is not fmap.source:
+        raise ArrangementMismatch("the element is not on the map's source")
     out = {}
     for signs, c in w.coeffs.items():
         key = fmap(signs)

@@ -189,7 +189,7 @@ def test_criterion_08_intrinsic_volume_table():
             arr, long_, samples=10**6, seed=0, force_mc=True
         ),
         "chamber": face_intrinsic_volumes(
-            arr, chamber, samples=10**6, seed=0
+            arr, chamber, samples=10**6, seed=0, force_mc=True
         ),
     }
     mx, my = mc["x"].values[3], mc["y"].values[3]

@@ -164,6 +164,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     list_file.write_text("[1, 2]")
     count_file = tmp_path / "count.json"
     count_file.write_text('{"dim": 2, "hyperplanes": 5}')
+    dim_file = tmp_path / "dim.json"
+    dim_file.write_text('{"dim": "two", "hyperplanes": []}')
     cases = [
         ["charpoly", "--family", "braid"],  # missing --n
         ["charpoly"],  # no source
@@ -190,16 +192,23 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+    # a malformed file is named, with the field at fault
+    for path, field in (
+        (list_file, "expected an object with 'dim' and 'hyperplanes'"),
+        (count_file, "'hyperplanes' must be a list of objects"),
+        (dim_file, "'dim' must be an integer"),
+    ):
+        with pytest.raises(SystemExit):
+            main(["charpoly", "--file", str(path)])
+        assert f"error: {path}: {field}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["verify", "all"], ["intrinsic"]])
 def test_each_chamber_is_sampled_once(capsys, monkeypatch, command):
-    # the 24 braid4 chambers are the only cones that need Monte Carlo;
-    # Klivans-Swartz must read their profiles, not sample them again
-    _, faces, lat = get_trio("braid4")
-    expected = intrinsic.klivans_swartz_charpoly(
-        faces, lat, samples=2000, seed=3
-    ).estimate
+    # the chambers are the only cones that can need Monte Carlo;
+    # Klivans-Swartz must read their profiles, not sample them again.
+    # braid4 chambers have essential dimension 3, so none is sampled;
+    # coord4 chambers are orthants of essential dimension 4
     sampled = []
     mc_profile = intrinsic._mc_profile
 
@@ -208,15 +217,24 @@ def test_each_chamber_is_sampled_once(capsys, monkeypatch, command):
         return mc_profile(cone, samples, seed)
 
     monkeypatch.setattr(intrinsic, "_mc_profile", counting)
-    code, rep = run_json(
-        capsys,
-        command + ["--family", "braid", "--n", "4", "--samples", "2000",
-                   "--seed", "3"],
-    )
-    assert code == 0
-    assert len(sampled) == 24
-    ks = next(c for c in rep["checks"] if c["name"] == "klivans-swartz")
-    assert ks["estimate"] == list(expected)
+    for name, family, sampled_cones in (
+        ("braid4", "braid", 0),
+        ("coord4", "coordinate", 16),
+    ):
+        _, faces, lat = get_trio(name)
+        expected = intrinsic.klivans_swartz_charpoly(
+            faces, lat, samples=2000, seed=3
+        ).estimate
+        sampled.clear()
+        code, rep = run_json(
+            capsys,
+            command + ["--family", family, "--n", "4", "--samples", "2000",
+                       "--seed", "3"],
+        )
+        assert code == 0
+        assert len(sampled) == sampled_cones
+        ks = next(c for c in rep["checks"] if c["name"] == "klivans-swartz")
+        assert ks["estimate"] == list(expected)
 
 
 def test_intrinsic_exact_only_braid4(capsys):
@@ -226,9 +244,19 @@ def test_intrinsic_exact_only_braid4(capsys):
     )
     assert code == 0
     rows = rep["results"]["profiles"]
-    methods = {r["method"] for r in rows}
-    assert methods == {"exact", "unavailable"}
-    assert rep["results"]["skipped"]  # chambers need sampling
+    assert {r["method"] for r in rows} == {"exact"}
+    assert rep["results"]["skipped"] == []
+    ks = rep["results"]["klivans_swartz"]
+    assert ks["ok"] and max(ks["deviations"]) < 1e-12
+    # coord4 chambers have essential dimension 4 and need sampling
+    code, rep = run_json(
+        capsys,
+        ["intrinsic", "--family", "coordinate", "--n", "4", "--exact-only"],
+    )
+    assert code == 0
+    rows = rep["results"]["profiles"]
+    assert {r["method"] for r in rows} == {"exact", "unavailable"}
+    assert len(rep["results"]["skipped"]) == 16
     assert rep["results"]["klivans_swartz"] is None
 
 

@@ -1,7 +1,4 @@
-"""The demos run to the end; their own asserts check what they print.
-
-Demo 04 is left out: its Monte Carlo takes about 8 s on its own.
-"""
+"""The demos run to the end; their own asserts check what they print."""
 
 import runpy
 from pathlib import Path
@@ -17,6 +14,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
         "01_faces_and_flats",
         "02_characteristic_elements",
         "03_polynomial_identities",
+        "04_intrinsic_volumes",
     ],
 )
 def test_demo_runs(name, capsys):

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from titskit.geometry import HomogeneousCone, recession_cone
+from titskit import intrinsic
+from titskit.geometry import HomogeneousCone, _cone_covectors, recession_cone
 from titskit.intrinsic import (
+    PolygonMismatch,
     ProjectionMismatch,
     cone_faces,
     conic_intrinsic_volumes,
@@ -16,6 +20,7 @@ from titskit.intrinsic import (
     try_exact_profile,
     verify_intrinsic_product,
 )
+from titskit.linalg import common_denominator
 from titskit.scalars import T
 from titskit.tits import (
     character,
@@ -25,6 +30,7 @@ from titskit.tits import (
 )
 
 from conftest import get_trio
+from test_cone_oracle import KINDS, cones
 
 QUADRANT = HomogeneousCone(dim=2, equalities=(), inequalities=((1, 0), (0, 1)))
 HALFPLANE = HomogeneousCone(dim=2, equalities=(), inequalities=((1, 0),))
@@ -158,17 +164,108 @@ def test_braid4_edge_angles():
 
 
 def test_profiles_sum_to_one_and_alternate():
-    for name in ["braid3", "coord2", "triangle", "parallel+"]:
+    names = ["braid3", "coord2", "triangle", "parallel+", "braid4",
+             "signed3", "coord3", "generic34", "braid5"]
+    for name in names:
         arr, faces, _ = get_trio(name)
         for f in faces:
-            prof = face_intrinsic_volumes(arr, f)
-            assert prof.method == "exact"
+            prof = try_exact_profile(recession_cone(arr, f))
+            if prof is None:
+                # braid5 chambers have essential dimension 4
+                assert name == "braid5" and f.is_chamber()
+                continue
             assert abs(prof.total() - 1.0) < 1e-12
             alt = prof.euler_alternation()
             if f.essentially_bounded:
                 assert abs(abs(alt) - 1.0) < 1e-12
             else:
+                # v_0 + v_2 + ... = v_1 + v_3 + ... = 1/2
                 assert abs(alt) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, numerators, den",
+    [
+        ("braid4", (0, 6, 11, 6, 1), 24),  # t(t+1)(t+2)(t+3)/4!
+        ("signed3", (15, 23, 9, 1), 48),  # (t+1)(t+3)(t+5)/(2^3 3!)
+        ("coord3", (1, 3, 3, 1), 8),  # the orthant: (t+1)^3/2^3
+    ],
+)
+def test_exact_chamber_closed_forms(name, numerators, den):
+    arr, faces, _ = get_trio(name)
+    for c in faces.chambers():
+        prof = face_intrinsic_volumes(arr, c)
+        assert prof.method == "exact"
+        for got, num in zip(prof.values, numerators):
+            assert abs(got - num / den) < 1e-12
+
+
+def test_polygon_with_a_missing_ray_is_rejected(monkeypatch):
+    # a square cone has four rays; dropping one leaves two rays with a
+    # single neighbour each
+    square = HomogeneousCone(
+        dim=3,
+        equalities=(),
+        inequalities=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+    )
+    assert try_exact_profile(square).method == "exact"
+    monkeypatch.setattr(
+        intrinsic,
+        "_cone_covectors",
+        lambda cone: (_cone_covectors(cone)[0][1:], None),
+    )
+    with pytest.raises(PolygonMismatch, match="1 neighbouring rays"):
+        try_exact_profile(square)
+
+
+def _polar(cone):
+    """The polar cone {y : y.r <= 0 on every ray r, y.l = 0 on the
+    lineality space}, with integer rows."""
+    rays, _ = _cone_covectors(cone)
+    lineality = [
+        tuple(int(c * common_denominator(v)) for c in v)
+        for v in intrinsic._lineality_basis(cone)
+    ]
+    return HomogeneousCone(
+        dim=cone.dim,
+        equalities=tuple(lineality),
+        inequalities=tuple(tuple(-c for c in v) for _, _, v in rays),
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_exact_profile_polar_duality(kind, data):
+    # v_k(C) = v_(n-k)(C polar); C and its polar share the essential
+    # dimension, so both are exact or neither is
+    cone = data.draw(cones(kind))
+    prof = try_exact_profile(cone)
+    dual = try_exact_profile(_polar(cone))
+    assert (prof is None) == (dual is None)
+    if prof is not None:
+        for a, b in zip(prof.values, reversed(dual.values)):
+            assert abs(a - b) < 1e-12
+
+
+# rows in {-1, 0, 1}^3, positive at (1, 1, 1) so the cone is solid; small
+# entries keep the sampler on its int64 path
+_solid3 = st.lists(
+    st.tuples(*[st.integers(-1, 1)] * 3).filter(lambda a: sum(a) > 0),
+    min_size=3,
+    max_size=5,
+    unique=True,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(rows=_solid3)
+def test_exact_profile_matches_monte_carlo(rows):
+    cone = HomogeneousCone(dim=3, equalities=(), inequalities=tuple(rows))
+    exact = try_exact_profile(cone)
+    mc = conic_intrinsic_volumes(cone, samples=200000, seed=0, force_mc=True)
+    for a, b, h in zip(mc.values, exact.values, mc.half_width):
+        assert abs(a - b) <= h
 
 
 def test_monte_carlo_is_deterministic():
@@ -209,9 +306,10 @@ def test_monte_carlo_big_denominator_fallback():
 
 
 def test_try_exact_profile_reports_unavailable():
-    arr, faces, _ = get_trio("braid4")
+    # a braid5 chamber has essential dimension 4
+    arr, faces, _ = get_trio("braid5")
     chamber_cone = recession_cone(
-        arr, faces.face(arr.sign_vector((0, 1, 2, 3)))
+        arr, faces.face(arr.sign_vector((0, 1, 2, 3, 4)))
     )
     assert try_exact_profile(chamber_cone) is None
     assert try_exact_profile(QUADRANT) is not None
@@ -261,14 +359,18 @@ def test_klivans_swartz_exact_cases():
     assert rep.exact == (1.0, -2.0, 1.0)
     assert rep.half_widths == (0.0, 0.0, 0.0)
     assert rep.ok()
-    _, faces, lat = get_trio("braid3")
-    rep = klivans_swartz_charpoly(faces, lat)
-    assert rep.ok() and max(rep.deviations) < 1e-12
+    for name in ["braid3", "braid4", "signed3", "coord3", "generic34"]:
+        _, faces, lat = get_trio(name)
+        rep = klivans_swartz_charpoly(faces, lat)
+        assert rep.ok() and max(rep.deviations) < 1e-12, name
+        assert not any(rep.half_widths)
 
 
 def test_klivans_swartz_monte_carlo():
     _, faces, lat = get_trio("braid4")
-    rep = klivans_swartz_charpoly(faces, lat, samples=200000, seed=0)
+    rep = klivans_swartz_charpoly(
+        faces, lat, samples=200000, seed=0, force_mc=True
+    )
     assert rep.exact == (-6.0, 11.0, -6.0, 1.0)
     assert rep.ok()
     assert all(d < 0.05 for d in rep.deviations)

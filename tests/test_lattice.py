@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from titskit.geometry import enumerate_faces
+from titskit.elements import braid_arrangement
+from titskit.geometry import ArrangementMismatch, enumerate_faces
 from titskit.lattice import (
     Flat,
     FlatLattice,
@@ -199,6 +200,14 @@ def test_deletion_index_out_of_range():
     arr, _, lat = get_trio("braid3")
     with pytest.raises(IndexOutOfRange):
         deletion_lattice(arr, lat, 3)
+
+
+def test_build_lattice_rejects_faces_of_another_arrangement():
+    arr, faces, _ = get_trio("braid3")
+    with pytest.raises(ArrangementMismatch):
+        build_lattice(braid_arrangement(3), faces)
+    with pytest.raises(ArrangementMismatch):
+        build_lattice(arr, list(faces))
 
 
 def test_ungraded_lattice_rejected():

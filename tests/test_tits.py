@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from titskit.geometry import NotAFace
+from titskit.elements import braid_arrangement
+from titskit.geometry import ArrangementMismatch, FaceSet, NotAFace
 from titskit.lattice import subarrangement_map
 from titskit.linalg import matrix_rank, nullspace
 from titskit.scalars import Poly, T
 from titskit.tits import (
+    NotClosed,
     ScalarMismatch,
     TitsElement,
     basis_element,
@@ -98,6 +100,32 @@ def test_product_rejects_non_faces():
     _, faces, _ = get_trio("braid3")
     with pytest.raises(NotAFace):
         tits_product(faces, (1, -1, 1), (0, 0, 0))
+
+
+def test_products_outside_the_face_set_rejected():
+    arr, faces, _ = get_trio("braid3")
+    wall, chamber = (0, -1, -1), (1, 1, 1)
+    product = compose_signs(wall, chamber)
+    partial = FaceSet(arr, [f for f in faces if f.signs != product])
+    with pytest.raises(NotClosed, match="missing from the face set"):
+        tits_product(partial, wall, chamber)
+    with pytest.raises(NotClosed, match="missing from the face set"):
+        multiply(
+            partial, basis_element(arr, wall), basis_element(arr, chamber)
+        )
+
+
+def test_elements_of_another_arrangement_rejected():
+    arr, faces, _ = get_trio("braid3")
+    h = basis_element(arr, (0, 0, 0))
+    # an equal arrangement built again is still another object
+    other = basis_element(braid_arrangement(3), (0, 0, 0))
+    with pytest.raises(ArrangementMismatch):
+        h + other
+    with pytest.raises(ArrangementMismatch):
+        multiply(faces, h, other)
+    with pytest.raises(ArrangementMismatch):
+        pushforward(subarrangement_map(arr, [0, 1]), other)
 
 
 def test_element_arithmetic_and_zero_dropping():
