@@ -1,10 +1,16 @@
 """Command line surface: build or load arrangements, run the computations
 and the verification suite, and emit human tables or machine JSON.
 
-Reports always carry the command echo, the arrangement fingerprint, a
-results payload, per-check pass/fail with both sides of each compared
-identity, wall-clock timings, and (for stochastic paths) samples and seed.
-Check output is sorted by check name so runs diff cleanly.
+Each command handler returns its results payload, its checks and its human
+lines.  A check is one record built by `_check`: its `name`, whether it is
+`ok`, and the values it compared (both sides of an identity, a deviation
+and its tolerance), with an optional `note`.  `main` alone renders checks:
+sorted by name into the JSON report, and as `PASS name (note)` or
+`FAIL name` lines after the human output, so runs diff cleanly.
+
+Reports always carry the command echo, the arrangement fingerprint, the
+results, the checks, wall-clock timings, and (for commands that may sample)
+the sample count and seed.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .elements import (
 from .geometry import enumerate_faces, recession_cone, signs_to_str
 from .intrinsic import (
     DEFAULT_SAMPLES,
+    FLOAT_FLOOR,
     intrinsic_element,
     klivans_swartz_from_profiles,
     try_exact_profile,
@@ -47,9 +54,6 @@ from .tits import (
     takeuchi_element,
     unit_element,
 )
-
-_FLOOR = 1e-9
-
 
 def _positive_int(text):
     value = int(text)
@@ -166,19 +170,24 @@ def _fmt_float(v, hw=None):
     return f"{v:.6g}"
 
 
-def _profile_json(signs, prof, dim=None):
+def _profile_json(signs, prof, dim):
     out = {
         "sign_vector": signs_to_str(signs),
         "method": prof.method,
         "values": [float(v) for v in prof.values],
         "half_width": [float(h) for h in prof.half_width],
+        "dim": dim,
     }
-    if dim is not None:
-        out["dim"] = dim
     if prof.samples is not None:
         out["samples"] = prof.samples
         out["seed"] = prof.seed
     return out
+
+
+def _check(name, ok, **fields):
+    """The one check record: its name, whether it passed, and the values
+    it compared."""
+    return {"name": name, "ok": ok, **fields}
 
 
 def _cmd_faces(arr, faces, lattice, args):
@@ -241,18 +250,18 @@ def _cmd_charpoly(arr, faces, lattice, args):
 def _cmd_zaslavsky(arr, faces, lattice, args):
     rep = zaslavsky_counts(faces, lattice)
     checks = [
-        {
-            "name": "zaslavsky-chambers",
-            "ok": rep.chambers_census == rep.chambers_from_chi,
-            "census": rep.chambers_census,
-            "from_chi": rep.chambers_from_chi,
-        },
-        {
-            "name": "zaslavsky-essentially-bounded",
-            "ok": rep.bounded_census == rep.bounded_from_chi,
-            "census": rep.bounded_census,
-            "from_chi": rep.bounded_from_chi,
-        },
+        _check(
+            "zaslavsky-chambers",
+            rep.chambers_census == rep.chambers_from_chi,
+            census=rep.chambers_census,
+            from_chi=rep.chambers_from_chi,
+        ),
+        _check(
+            "zaslavsky-essentially-bounded",
+            rep.bounded_census == rep.bounded_from_chi,
+            census=rep.bounded_census,
+            from_chi=rep.bounded_from_chi,
+        ),
     ]
     results = {
         "rank": rep.rank,
@@ -268,44 +277,40 @@ def _cmd_zaslavsky(arr, faces, lattice, args):
     return results, checks, human
 
 
-def _element_for(kind, arr, faces, args):
-    if kind == "unit":
-        return unit_element(faces), "1"
-    if kind == "takeuchi":
-        return takeuchi_element(faces), "-1"
-    if kind == "adams":
-        if arr.kind == "signed-braid":
-            return adams_b(faces), "2t + 1"
-        return adams_a(faces), "t (after dividing by t)"
-    if kind == "coordinate":
-        return coordinate_element(faces), "t"
-    raise AssertionError(kind)
+# element kind -> (builder, the parameter it is characteristic for); the
+# signed braid arrangement has its own Adams element, and the intrinsic
+# element needs sampling arguments
+_ELEMENTS = {
+    "unit": (unit_element, "1"),
+    "takeuchi": (takeuchi_element, "-1"),
+    "adams": (adams_a, "t (after dividing by t)"),
+    "coordinate": (coordinate_element, "t"),
+}
 
 
 def _cmd_element(arr, faces, lattice, args):
+    extra = {}
     if args.kind == "intrinsic":
         nu = intrinsic_element(
             arr, faces, samples=args.samples, seed=args.seed
         )
-        results = {
-            "element": element_to_json(nu.element),
-            "characteristic_for": "t",
+        w, param = nu.element, "t"
+        extra = {
             "profiles": [
-                _profile_json(s, p, dim=faces.face(s).dim)
+                _profile_json(s, p, faces.face(s).dim)
                 for s, p in sorted(nu.profiles.items())
             ],
             "tolerance": nu.character_tolerance(),
         }
-        human = ["intrinsic element (characteristic for t)"]
-        for entry in results["element"]:
-            human.append(
-                f"  {entry['sign_vector'] or '()':<12} {entry['coeff']}"
-            )
-        return results, [], human
-    w, param = _element_for(args.kind, arr, faces, args)
+    elif args.kind == "adams" and arr.kind == "signed-braid":
+        w, param = adams_b(faces), "2t + 1"
+    else:
+        build, param = _ELEMENTS[args.kind]
+        w = build(faces)
     results = {
         "element": element_to_json(w),
         "characteristic_for": param,
+        **extra,
     }
     human = [f"{args.kind} element (characteristic for {param})"]
     for entry in results["element"]:
@@ -313,102 +318,72 @@ def _cmd_element(arr, faces, lattice, args):
     return results, [], human
 
 
-def _char_report_check(name, rep):
-    out = {"name": name, "ok": rep.ok, "parameter": format_scalar(rep.parameter)}
-    if not rep.ok:
-        out["violations"] = [
-            {
-                "flat": x,
-                "character": format_scalar(chi),
-                "expected": format_scalar(exp),
-            }
-            for x, chi, exp, _ in rep.violations()
-        ]
-    return out
+# (check name, family it applies to or None for all, element, parameter)
+_CHARACTERISTIC = (
+    ("characteristic-unit", None, unit_element, Fraction(1)),
+    ("characteristic-takeuchi", None, takeuchi_element, Fraction(-1)),
+    ("characteristic-adams", "braid", adams_a_normalized, T),
+    ("characteristic-adams-signed", "signed-braid", adams_b, Poly((1, 2))),
+    ("characteristic-coordinate", "coordinate", coordinate_element, T),
+)
 
 
 def _characteristic_checks(arr, faces, lattice):
-    checks = [
-        _char_report_check(
-            "characteristic-unit",
-            is_characteristic(lattice, unit_element(faces), Fraction(1)),
-        ),
-        _char_report_check(
-            "characteristic-takeuchi",
-            is_characteristic(lattice, takeuchi_element(faces), Fraction(-1)),
-        ),
-    ]
-    if arr.kind == "braid":
-        checks.append(
-            _char_report_check(
-                "characteristic-adams",
-                is_characteristic(lattice, adams_a_normalized(faces), T),
-            )
-        )
-    if arr.kind == "signed-braid":
-        checks.append(
-            _char_report_check(
-                "characteristic-adams-signed",
-                is_characteristic(
-                    lattice, adams_b(faces), Poly((1, 2))
-                ),
-            )
-        )
-    if arr.kind == "coordinate":
-        checks.append(
-            _char_report_check(
-                "characteristic-coordinate",
-                is_characteristic(lattice, coordinate_element(faces), T),
-            )
-        )
-    return checks
-
-
-def _kung_checks(lattice, pairs):
     checks = []
-    for s, t in pairs:
-        rep = verify_kung(lattice, s, t)
-        checks.append(
-            {
-                "name": f"kung-s{s}-t{t}",
-                "ok": rep.ok,
-                "lhs": str(rep.lhs),
-                "flat_sum": str(rep.flat_sum),
-                "pair_sum": str(rep.pair_sum),
-            }
-        )
+    for name, family, build, param in _CHARACTERISTIC:
+        if family not in (None, arr.kind):
+            continue
+        rep = is_characteristic(lattice, build(faces), param)
+        fields = {"parameter": format_scalar(rep.parameter)}
+        if not rep.ok:
+            fields["violations"] = [
+                {
+                    "flat": x,
+                    "character": format_scalar(chi),
+                    "expected": format_scalar(exp),
+                }
+                for x, chi, exp, _ in rep.violations()
+            ]
+        checks.append(_check(name, rep.ok, **fields))
     return checks
+
+
+def _kung_check(lattice, s, t):
+    rep = verify_kung(lattice, s, t)
+    return _check(
+        f"kung-s{s}-t{t}",
+        rep.ok,
+        lhs=str(rep.lhs),
+        flat_sum=str(rep.flat_sum),
+        pair_sum=str(rep.pair_sum),
+    )
 
 
 def _deletion_checks(arr, faces, lattice, which=None):
     checks = []
-    indices = range(arr.m) if which is None else [which]
-    for h in indices:
+    for h in range(arr.m) if which is None else [which]:
         rep = verify_deletion_restriction(arr, faces, lattice, h)
-        entry = {
-            "name": f"deletion-h{h}",
-            "chi": poly_str(rep.chi_full),
-            "chi_deleted": poly_str(rep.chi_deleted),
-            "chi_restriction": poly_str(rep.chi_restriction),
-        }
-        if not rep.rank_ok:
-            entry["ok"] = True
-            entry["note"] = "skipped: deletion drops rank"
-        else:
-            entry["ok"] = rep.identity_ok and rep.transport_ok
-        checks.append(entry)
+        note = {} if rep.rank_ok else {"note": "skipped: deletion drops rank"}
+        checks.append(
+            _check(
+                f"deletion-h{h}",
+                not rep.rank_ok or (rep.identity_ok and rep.transport_ok),
+                chi=poly_str(rep.chi_full),
+                chi_deleted=poly_str(rep.chi_deleted),
+                chi_restriction=poly_str(rep.chi_restriction),
+                **note,
+            )
+        )
     return checks
 
 
 def _unit_identity_check(faces):
     u = unit_element(faces)
-    ok = True
-    for f in faces:
-        h = basis_element(faces.arr, f.signs)
-        if multiply(faces, u, h) != h or multiply(faces, h, u) != h:
-            ok = False
-            break
-    return {"name": "unit-identity", "ok": ok, "faces": len(faces)}
+    ok = all(
+        multiply(faces, u, h) == h and multiply(faces, h, u) == h
+        for h in (basis_element(faces.arr, f.signs) for f in faces)
+    )
+    return _check("unit-identity", ok, faces=len(faces))
 
 
 def _q_basis_check(lattice):
@@ -428,7 +403,7 @@ def _q_basis_check(lattice):
     for y in range(len(lattice)):
         h_y = {y: Fraction(1)}
         ok = ok and flat_multiply(lattice, total, h_y) == h_y
-    return {"name": "q-basis", "ok": ok, "flats": len(lattice)}
+    return _check("q-basis", ok, flats=len(lattice))
 
 
 def _product_checks(arr, faces, nu, s, t):
@@ -436,25 +411,24 @@ def _product_checks(arr, faces, nu, s, t):
     if arr.kind == "braid":
         a = adams_a(faces)
         lhs = multiply(faces, a.evaluate(s), a.evaluate(t))
-        rhs = a.evaluate(s * t)
         checks.append(
-            {
-                "name": "adams-multiplicativity",
-                "ok": lhs == rhs,
-                "s": str(s),
-                "t": str(t),
-            }
+            _check(
+                "adams-multiplicativity",
+                lhs == a.evaluate(s * t),
+                s=str(s),
+                t=str(t),
+            )
         )
     rep = verify_intrinsic_product(faces, nu, s, t)
     checks.append(
-        {
-            "name": "intrinsic-product",
-            "ok": rep.ok,
-            "s": rep.s,
-            "t": rep.t,
-            "max_deviation": rep.max_deviation,
-            "tolerance": rep.tolerance,
-        }
+        _check(
+            "intrinsic-product",
+            rep.ok,
+            s=rep.s,
+            t=rep.t,
+            max_deviation=rep.max_deviation,
+            tolerance=rep.tolerance,
+        )
     )
     return checks
 
@@ -466,7 +440,7 @@ def _profile_consistency_check(faces, profiles):
     worst = 0.0
     for f in faces:
         prof = profiles[f.signs]
-        slack = sum(prof.half_width) + _FLOOR
+        slack = sum(prof.half_width) + FLOAT_FLOOR
         dev = abs(prof.total() - 1.0)
         alt = prof.euler_alternation()
         if f.essentially_bounded:
@@ -475,11 +449,7 @@ def _profile_consistency_check(faces, profiles):
             dev = max(dev, abs(alt))
         worst = max(worst, dev)
         ok = ok and dev <= slack
-    return {
-        "name": "profile-consistency",
-        "ok": ok,
-        "max_deviation": worst,
-    }
+    return _check("profile-consistency", ok, max_deviation=worst)
 
 
 def _nu_checks(faces, nu):
@@ -499,93 +469,76 @@ def _nu_checks(faces, nu):
             default=0.0,
         )
         out.append(
-            {
-                "name": name,
-                "ok": dev <= tol,
-                "max_deviation": dev,
-                "tolerance": tol,
-            }
+            _check(name, dev <= tol, max_deviation=dev, tolerance=tol)
         )
     return out
 
 
 def _klivans_swartz_check(faces, lattice, profiles):
     rep = klivans_swartz_from_profiles(faces, lattice, profiles)
-    return {
-        "name": "klivans-swartz",
-        "ok": rep.ok(),
-        "estimate": [float(v) for v in rep.estimate],
-        "exact": [float(v) for v in rep.exact],
-        "deviations": [float(v) for v in rep.deviations],
-    }
+    return _check(
+        "klivans-swartz",
+        rep.ok(),
+        estimate=[float(v) for v in rep.estimate],
+        exact=[float(v) for v in rep.exact],
+        deviations=[float(v) for v in rep.deviations],
+    )
+
+
+# Kung's identity at these pairs too, besides (--s, --t), in `verify all`
+_KUNG_PAIRS = ((Fraction(-1), Fraction(3)), (Fraction(1, 2), Fraction(-2)))
 
 
 def _cmd_verify(arr, faces, lattice, args):
+    """Each group's checks; `all` is every group plus the checks that
+    belong to none."""
     s, t = args.s, args.t
     checks = []
-    if args.what == "characteristic":
+    if args.what in ("characteristic", "all"):
         checks += _characteristic_checks(arr, faces, lattice)
-    elif args.what == "kung":
-        checks += _kung_checks(lattice, [(s, t)])
-    elif args.what == "deletion":
+    if args.what in ("kung", "all"):
+        checks.append(_kung_check(lattice, s, t))
+    if args.what in ("deletion", "all"):
         checks += _deletion_checks(arr, faces, lattice, args.hyperplane)
-    elif args.what == "product":
+    if args.what in ("product", "all"):
         nu = intrinsic_element(
             arr, faces, samples=args.samples, seed=args.seed
         )
         checks += _product_checks(arr, faces, nu, s, t)
-    else:
-        checks.append(_unit_identity_check(faces))
-        checks += _characteristic_checks(arr, faces, lattice)
+    if args.what == "all":
         rep = zaslavsky_counts(faces, lattice)
-        checks.append(
-            {
-                "name": "zaslavsky",
-                "ok": rep.ok,
-                "chambers": rep.chambers_census,
-                "essentially_bounded": rep.bounded_census,
-            }
-        )
-        checks += _deletion_checks(arr, faces, lattice, args.hyperplane)
-        checks += _kung_checks(
-            lattice,
-            [(s, t), (Fraction(-1), Fraction(3)), (Fraction(1, 2), Fraction(-2))],
-        )
-        checks.append(_q_basis_check(lattice))
-        nu = intrinsic_element(
-            arr, faces, samples=args.samples, seed=args.seed
-        )
-        checks += _product_checks(arr, faces, nu, s, t)
-        checks += _nu_checks(faces, nu)
-        checks.append(_profile_consistency_check(faces, nu.profiles))
-        checks.append(_klivans_swartz_check(faces, lattice, nu.profiles))
-    results = {"checked": len(checks)}
-    human = []
-    for c in sorted(checks, key=lambda c: c["name"]):
-        status = "PASS" if c["ok"] else "FAIL"
-        note = f" ({c['note']})" if "note" in c else ""
-        human.append(f"{status} {c['name']}{note}")
-    return results, checks, human
+        checks += [
+            _unit_identity_check(faces),
+            _check(
+                "zaslavsky",
+                rep.ok,
+                chambers=rep.chambers_census,
+                essentially_bounded=rep.bounded_census,
+            ),
+            *(_kung_check(lattice, *pair) for pair in _KUNG_PAIRS),
+            _q_basis_check(lattice),
+            *_nu_checks(faces, nu),
+            _profile_consistency_check(faces, nu.profiles),
+            _klivans_swartz_check(faces, lattice, nu.profiles),
+        ]
+    return {"checked": len(checks)}, checks, []
 
 
 def _cmd_intrinsic(arr, faces, lattice, args):
     if args.exact_only:
-        profiles = {}
-        for f in faces:
-            prof = try_exact_profile(recession_cone(arr, f))
-            if prof is not None:
-                profiles[f.signs] = prof
+        found = (
+            (f.signs, try_exact_profile(recession_cone(arr, f))) for f in faces
+        )
+        profiles = {s: p for s, p in found if p is not None}
     else:
         profiles = intrinsic_element(
             arr, faces, samples=args.samples, seed=args.seed
         ).profiles
-    rows = []
-    skipped = []
+    rows, human, computed, skipped = [], [], [], []
     for f in faces:
-        if f.signs in profiles:
-            rows.append(_profile_json(f.signs, profiles[f.signs], dim=f.dim))
-        else:
-            skipped.append(f.signs)
+        label = f"  {signs_to_str(f.signs) or '()':<12} dim {f.dim}"
+        if f.signs not in profiles:
+            skipped.append(f)
             rows.append(
                 {
                     "sign_vector": signs_to_str(f.signs),
@@ -593,40 +546,31 @@ def _cmd_intrinsic(arr, faces, lattice, args):
                     "method": "unavailable",
                 }
             )
+            human.append(f"{label}: needs Monte Carlo (skipped)")
+            continue
+        computed.append(f)
+        r = _profile_json(f.signs, profiles[f.signs], f.dim)
+        rows.append(r)
+        vals = ", ".join(
+            _fmt_float(v, h) for v, h in zip(r["values"], r["half_width"])
+        )
+        human.append(f"{label} [{r['method']}]: ({vals})")
     checks = []
-    computed = [f for f in faces if f.signs in profiles]
     if computed:
         checks.append(_profile_consistency_check(computed, profiles))
     ks = None
-    if all(c.signs in profiles for c in faces.chambers()):
+    if not any(f.is_chamber() for f in skipped):
         ks = _klivans_swartz_check(faces, lattice, profiles)
         checks.append(ks)
-    results = {
-        "profiles": rows,
-        "klivans_swartz": ks,
-        "skipped": [signs_to_str(s) for s in skipped],
-    }
-    human = []
-    for r in rows:
-        if r["method"] == "unavailable":
-            human.append(
-                f"  {r['sign_vector'] or '()':<12} dim {r['dim']}: "
-                "needs Monte Carlo (skipped)"
-            )
-            continue
-        vals = ", ".join(
-            _fmt_float(v, h)
-            for v, h in zip(r["values"], r["half_width"])
-        )
-        human.append(
-            f"  {r['sign_vector'] or '()':<12} dim {r['dim']} "
-            f"[{r['method']}]: ({vals})"
-        )
-    if ks is not None:
         est = ", ".join(_fmt_float(v) for v in ks["estimate"])
         exa = ", ".join(_fmt_float(v) for v in ks["exact"])
         human.append(f"chi from chamber volumes: ({est})")
         human.append(f"chi exact:               ({exa})")
+    results = {
+        "profiles": rows,
+        "klivans_swartz": ks,
+        "skipped": [signs_to_str(f.signs) for f in skipped],
+    }
     return results, checks, human
 
 
@@ -662,6 +606,7 @@ def main(argv=None):
         parser.error(str(exc))
     done = time.perf_counter()
     ok = all(c["ok"] for c in checks)
+    checks = sorted(checks, key=lambda c: c["name"])
     report = {
         "command": " ".join(
             [args.command] + ([args.kind] if args.command == "element" else [])
@@ -669,7 +614,7 @@ def main(argv=None):
         ),
         "fingerprint": arr.fingerprint(),
         "results": results,
-        "checks": sorted(checks, key=lambda c: c["name"]),
+        "checks": checks,
         "ok": ok,
         "timings": {
             "build_s": round(built - start, 3),
@@ -686,10 +631,9 @@ def main(argv=None):
     else:
         for line in human:
             print(line)
-        if checks and not args.command == "verify":
-            for c in report["checks"]:
-                status = "PASS" if c["ok"] else "FAIL"
-                print(f"{status} {c['name']}")
+        for c in checks:
+            note = f" ({c['note']})" if "note" in c else ""
+            print(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}{note}")
         if not ok:
             print("FAILED", file=sys.stderr)
     return 0 if ok else 1

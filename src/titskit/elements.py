@@ -114,6 +114,8 @@ def in_general_position(arr):
 
 def generic_arrangement(dim, m, seed, max_tries=500):
     """Seeded random affine arrangement in general position."""
+    if dim < 1:
+        raise ValueError("ambient dimension must be positive")
     if m < 0:
         raise ValueError(f"hyperplane count must be nonnegative, got {m}")
     rng = random.Random(seed)

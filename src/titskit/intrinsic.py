@@ -53,7 +53,8 @@ DEFAULT_SEED = 0
 CHUNK = 1 << 14
 _SCALE = 1 << 12
 _BIG = 1 << 62
-_FLOAT_FLOOR = 1e-9
+# absolute slack of every float comparison, on top of the MC half-widths
+FLOAT_FLOOR = 1e-9
 
 
 class ProjectionMismatch(RuntimeError):
@@ -370,7 +371,7 @@ class IntrinsicElement:
 
     def character_tolerance(self):
         """Conservative bound for character residuals, from MC half-widths."""
-        return _FLOAT_FLOOR + sum(
+        return FLOAT_FLOOR + sum(
             max(p.half_width) for p in self.profiles.values()
         )
 
@@ -409,7 +410,7 @@ class KlivansSwartzReport:
         if tol is not None:
             return all(d <= tol for d in self.deviations)
         return all(
-            d <= hw + _FLOAT_FLOOR
+            d <= hw + FLOAT_FLOOR
             for d, hw in zip(self.deviations, self.half_widths)
         )
 
@@ -482,7 +483,7 @@ def verify_intrinsic_product(faces, nu, s, t):
     growth = (max(1.0, abs(float(s))) * max(1.0, abs(float(t)))) ** max(
         (f.dim for f in faces), default=1
     )
-    tol = _FLOAT_FLOOR + growth * len(faces) * sum(
+    tol = FLOAT_FLOOR + growth * len(faces) * sum(
         max(p.half_width) for p in nu.profiles.values()
     )
     return ProductReport(

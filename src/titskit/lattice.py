@@ -129,10 +129,7 @@ class FlatLattice:
 
     def charpoly(self):
         """chi(t) = sum over flats Y of mu(Y, top) t^rank(Y)."""
-        acc = Poly()
-        for y in range(len(self.flats)):
-            acc = acc + self.mobius(y, self.top) * T ** self.flats[y].rank
-        return acc
+        return charpoly_under(self, self.top)
 
     def support_index(self, face):
         """Index of the flat spanned by a face (its support)."""

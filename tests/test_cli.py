@@ -121,6 +121,54 @@ def test_verify_all_braid3(capsys):
         assert any(n.startswith(expected) for n in names), expected
 
 
+# fields of each check besides "name" and "ok", keyed by name prefix; a
+# name takes the longest prefix it starts with
+_CHECK_FIELDS = {
+    "adams-multiplicativity": {"s", "t"},
+    "characteristic-": {"parameter"},
+    "deletion-h": {"chi", "chi_deleted", "chi_restriction"},
+    "intrinsic-product": {"s", "t", "max_deviation", "tolerance"},
+    "klivans-swartz": {"estimate", "exact", "deviations"},
+    "kung-s": {"lhs", "flat_sum", "pair_sum"},
+    "nu-at-": {"max_deviation", "tolerance"},
+    "profile-consistency": {"max_deviation"},
+    "q-basis": {"flats"},
+    "unit-identity": {"faces"},
+    "zaslavsky": {"chambers", "essentially_bounded"},
+    "zaslavsky-": {"census", "from_chi"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--family", "braid", "--n", "3"],
+        ["verify", "all", "--family", "signed-braid", "--n", "3"],
+        ["zaslavsky", "--family", "braid", "--n", "3"],
+        ["intrinsic", "--exact-only", "--family", "braid", "--n", "3"],
+    ],
+    ids=["verify-braid3", "verify-signed3", "zaslavsky", "intrinsic-exact"],
+)
+def test_check_fields(capsys, argv):
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["checks"]
+    for c in rep["checks"]:
+        prefix = max(
+            (p for p in _CHECK_FIELDS if c["name"].startswith(p)), key=len
+        )
+        assert set(c) == {"name", "ok"} | _CHECK_FIELDS[prefix], c["name"]
+
+
+def test_skipped_deletion_carries_its_note(capsys):
+    argv = ["verify", "deletion", "--family", "coordinate", "--n", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "PASS deletion-h0 (skipped: deletion drops rank)" in out.splitlines()
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["checks"][0]["note"] == "skipped: deletion drops rank"
+
+
 def test_verify_human_lines(capsys):
     code, out, _ = run(
         capsys, ["verify", "characteristic", "--family", "braid", "--n", "3"]
@@ -184,6 +232,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["verify", "kung", "--family", "braid", "--n", "3", "--t", "x/2"],
         ["charpoly", "--family", "generic", "--n", "1", "--m", "60"],
         ["charpoly", "--family", "generic", "--n", "2", "--m", "-1"],
+        ["charpoly", "--family", "generic", "--n", "0", "--m", "3"],
+        ["charpoly", "--family", "generic", "--n", "-2", "--m", "2"],
         ["charpoly", "--file", str(list_file)],
         ["charpoly", "--file", str(count_file)],
     ]
