@@ -588,9 +588,11 @@ _HANDLERS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    hyperplane = getattr(args, "hyperplane", None)
+    if hyperplane is not None and args.what not in ("deletion", "all"):
+        parser.error("--hyperplane only applies to verify deletion and all")
     start = time.perf_counter()
     arr = _load_arrangement(args, parser)
-    hyperplane = getattr(args, "hyperplane", None)
     if hyperplane is not None and not 0 <= hyperplane < arr.m:
         parser.error(
             f"--hyperplane must lie in [0, {arr.m}), got {hyperplane}"

@@ -8,14 +8,16 @@ flat's dimension is the dimension of its faces; no linear algebra is done
 here.  Under the inclusion order the ambient space is the top element;
 joins always exist (the closure of the join is the intersection of the
 closures) while meets may not in the affine case.  Ranks are dimensions
-shifted by the common lineality dimension d, the smallest flat dimension;
-gradedness of the poset by this rank is validated explicitly when the
-lattice is built.
+shifted by the common lineality dimension d, the smallest flat dimension.
+Order questions read each flat's below- and above-set, built once, and one
+pass over the intervals gives the Mobius function and checks gradedness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .geometry import Arrangement, ArrangementMismatch, FaceSet
 from .scalars import Poly, T
@@ -43,7 +45,7 @@ class Flat:
 
 
 class FlatLattice:
-    """Flats of one arrangement with order, joins, and Mobius function."""
+    """Flats of one arrangement, in order of rank, with joins and Mobius."""
 
     def __init__(self, arr, flats, face_support=None):
         self.arr = arr
@@ -52,78 +54,74 @@ class FlatLattice:
         self.top = self._index[frozenset()]
         self.d = self.flats[0].dim - self.flats[0].rank
         self.face_support = face_support or {}
-        self._mobius = self._mobius_table()
-        self._validate_graded()
+        # masks over flat indices: y <= x when y lies on every hyperplane
+        # through x, and x <= y when y lies on no hyperplane missing x
+        full = (1 << len(self.flats)) - 1
+        on = [sum(1 << i for i, f in enumerate(self.flats) if j in f.closure)
+              for j in range(arr.m)]
+        self._below = [reduce(and_, (on[j] for j in f.closure), full)
+                       for f in self.flats]
+        self._above = [reduce(and_, (full ^ on[j] for j in range(arr.m)
+                                     if j not in f.closure), full)
+                       for f in self.flats]
+        if any(up & ((1 << i) - 1) for i, up in enumerate(self._above)):
+            raise ValueError("flats must be listed in order of rank")
+        self._mobius = [self._mobius_row(y) for y in range(len(self.flats))]
 
     # -- order ----------------------------------------------------------
 
     def __len__(self):
         return len(self.flats)
 
-    def flat(self, x):
+    def _checked(self, x):
         if not 0 <= x < len(self.flats):
             raise IndexOutOfRange(f"no flat with index {x}")
-        return self.flats[x]
+        return x
+
+    def flat(self, x):
+        return self.flats[self._checked(x)]
 
     def index_of(self, closure):
         return self._index[frozenset(closure)]
 
     def leq(self, y, x):
         """Whether flat y is contained in flat x."""
-        return self.flat(y).closure >= self.flat(x).closure
+        return bool(self._below[self._checked(x)] >> self._checked(y) & 1)
 
     def join(self, x, y):
-        """Smallest flat containing both x and y."""
-        return self._index[self.flat(x).closure & self.flat(y).closure]
+        """Smallest flat containing x and y: their lowest-index upper bound."""
+        up = self._above[self._checked(x)] & self._above[self._checked(y)]
+        return (up & -up).bit_length() - 1
 
     def below(self, x):
-        return [y for y in range(len(self.flats)) if self.leq(y, x)]
+        return list(_bits(self._below[self._checked(x)]))
 
     def above(self, x):
-        return [y for y in range(len(self.flats)) if self.leq(x, y)]
+        return list(_bits(self._above[self._checked(x)]))
 
     def rank_top(self):
         return self.flats[self.top].rank
 
     # -- Mobius function --------------------------------------------------
 
-    def _mobius_table(self):
-        order = sorted(range(len(self.flats)), key=lambda i: self.flats[i].rank)
-        table = {}
-        for yi in order:
-            interval = [x for x in order if self.leq(yi, x)]
-            table[(yi, yi)] = 1
-            for xi in sorted(interval, key=lambda i: self.flats[i].rank):
-                if xi == yi:
-                    continue
-                acc = 0
-                for zi in interval:
-                    if zi != xi and self.leq(zi, xi):
-                        acc += table[(yi, zi)]
-                table[(yi, xi)] = -acc
-        return table
+    def _mobius_row(self, y):
+        """mu(y, x) for each x >= y; x covers y when [y, x) holds y alone."""
+        row = {y: 1}
+        ry = self.flats[y].rank
+        for x in _bits(self._above[y] ^ (1 << y)):
+            interval = (self._below[x] & self._above[y]) ^ (1 << x)
+            if interval == 1 << y and self.flats[x].rank != ry + 1:
+                raise UngradedLattice(
+                    f"cover {y} < {x} jumps rank {ry} -> {self.flats[x].rank}"
+                )
+            row[x] = -sum(row[z] for z in _bits(interval))
+        return row
 
     def mobius(self, y, x):
-        self.flat(y), self.flat(x)
-        if not self.leq(y, x):
+        row = self._mobius[self._checked(y)]
+        if self._checked(x) not in row:
             raise NotComparable(f"flat {y} is not below flat {x}")
-        return self._mobius[(y, x)]
-
-    def _validate_graded(self):
-        n = len(self.flats)
-        for y in range(n):
-            for x in range(n):
-                if x == y or not self.leq(y, x):
-                    continue
-                covered = not any(
-                    z != x and z != y and self.leq(y, z) and self.leq(z, x)
-                    for z in range(n)
-                )
-                if covered and self.flats[x].rank != self.flats[y].rank + 1:
-                    raise UngradedLattice(
-                        f"cover {y} < {x} jumps rank "
-                        f"{self.flats[y].rank} -> {self.flats[x].rank}"
-                    )
+        return row[x]
 
     # -- characteristic polynomials ---------------------------------------
 
@@ -131,10 +129,13 @@ class FlatLattice:
         """chi(t) = sum over flats Y of mu(Y, top) t^rank(Y)."""
         return charpoly_under(self, self.top)
 
-    def support_index(self, face):
-        """Index of the flat spanned by a face (its support)."""
-        signs = face.signs if hasattr(face, "signs") else tuple(face)
-        return self.face_support[signs]
+
+def _bits(mask):
+    """Indices of the set bits of a mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def support_closure(arr, face):
@@ -180,22 +181,17 @@ def charpoly_under(lattice, x):
     this matches the convention in which the interval below x is never
     re-embedded in the subspace x.
     """
-    acc = Poly()
-    for y in lattice.below(x):
-        acc = acc + lattice.mobius(y, x) * T ** lattice.flat(y).rank
-    return acc
+    return sum((lattice.mobius(y, x) * T ** lattice.flat(y).rank
+                for y in lattice.below(x)), Poly())
 
 
 def charpoly_over(lattice, x):
     """chi of the localization at flat x, on the interval above x:
     sum_{Y >= x} mu(Y, top) t^(rank(Y) - rank(x))."""
     rx = lattice.flat(x).rank
-    acc = Poly()
-    for y in lattice.above(x):
-        acc = acc + lattice.mobius(y, lattice.top) * T ** (
-            lattice.flat(y).rank - rx
-        )
-    return acc
+    top = lattice.top
+    return sum((lattice.mobius(y, top) * T ** (lattice.flat(y).rank - rx)
+                for y in lattice.above(x)), Poly())
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ zero, in which case G_i.  Geometrically FG is the face entered by moving a
 short way from F toward G.  Linearizing over the face set gives an
 associative algebra; elements here are sparse coefficient dictionaries over
 sign vectors, with rational, polynomial, or float scalars.  Characters are
-indexed by flats: chi_X(w) sums the coefficients of the faces whose support
-lies below X.  An element is characteristic for a parameter t when
+indexed by flats: chi_X(w) adds w's support sums, taken in one pass over w,
+over the flats below X.  An element is characteristic for a parameter t when
 chi_X(w) = t^rank(X) for every flat X.
 """
 
@@ -141,22 +141,28 @@ def multiply(faces, w, v):
     return result
 
 
+def _support_sums(lattice, w):
+    """Total coefficient of the faces supported at each flat, in one pass."""
+    sums = {}
+    for signs, c in w.coeffs.items():
+        x = lattice.face_support[signs]
+        sums[x] = sums.get(x, 0) + c
+    return sums
+
+
+def _character(lattice, sums, x):
+    return sum((sums[y] for y in lattice.below(x) if y in sums), 0)
+
+
 def character(lattice, w, x):
     """chi_X(w): total coefficient of faces supported at or below flat x."""
-    acc = 0
-    for signs, c in w.coeffs.items():
-        if lattice.leq(lattice.face_support[signs], x):
-            acc = acc + c
-    return acc
+    return _character(lattice, _support_sums(lattice, w), x)
 
 
 def support_sum(lattice, w, x):
     """Total coefficient of faces supported exactly at flat x."""
-    acc = 0
-    for signs, c in w.coeffs.items():
-        if lattice.face_support[signs] == x:
-            acc = acc + c
-    return acc
+    support = lattice.face_support
+    return sum((c for s, c in w.coeffs.items() if support[s] == x), 0)
 
 
 def chamber_sum(lattice, w):
@@ -185,18 +191,13 @@ def is_characteristic(lattice, w, t, tol=None):
     With tol=None the comparison is exact; otherwise each deviation (max
     absolute coefficient of the difference) must be <= tol.
     """
+    sums = _support_sums(lattice, w)
     entries = []
-    ok = True
     for x in range(len(lattice)):
-        lhs = character(lattice, w, x)
+        lhs = _character(lattice, sums, x)
         rhs = t ** lattice.flat(x).rank
-        dev = _magnitude(lhs - rhs)
-        if tol is None:
-            good = dev == 0
-        else:
-            good = dev <= tol
-        ok = ok and good
-        entries.append((x, lhs, rhs, dev))
+        entries.append((x, lhs, rhs, _magnitude(lhs - rhs)))
+    ok = all(e[3] == 0 if tol is None else e[3] <= tol for e in entries)
     return CharacteristicReport(parameter=t, ok=ok, entries=tuple(entries))
 
 
@@ -227,10 +228,8 @@ def q_basis(lattice):
     Returns, for each flat X, the coefficient vector of Q_X in the H basis:
     Q_X = sum over flats Y >= X of mu(X, Y) H_Y.
     """
-    out = {}
-    for x in range(len(lattice)):
-        out[x] = {y: lattice.mobius(x, y) for y in lattice.above(x)}
-    return out
+    return {x: {y: lattice.mobius(x, y) for y in lattice.above(x)}
+            for x in range(len(lattice))}
 
 
 def flat_multiply(lattice, u, v):

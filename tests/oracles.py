@@ -12,6 +12,14 @@ dimension of the lineality space; they are kept as they were before the
 flat lattice was built from the zero sets and dimensions of the faces in
 `titskit.lattice`.
 
+`mobius_table` (one `leq` scan per pair of flats) and `validate_graded`
+(a cover found by scanning every flat between a pair) are the Mobius
+function and gradedness check as they were before `FlatLattice` read both
+from one pass over its below- and above-sets; their order is containment of
+the flats' closures, read from the flats alone.  `characters_scan` is
+chi_X(w) with one scan of the element per flat, as before characters came
+from support sums in `titskit.tits`.
+
 `cone_faces_lp` (one LP per subset of inequalities), `implicit_equalities_lp`
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
 for the active-set multipliers with an LP) are kept as they were before
@@ -25,7 +33,13 @@ from fractions import Fraction
 
 from titskit.geometry import Arrangement, Face, FaceSet, lineality_space
 from titskit.intrinsic import ConeFace
-from titskit.lattice import Flat, FlatLattice, IndexOutOfRange, support_closure
+from titskit.lattice import (
+    Flat,
+    FlatLattice,
+    IndexOutOfRange,
+    UngradedLattice,
+    support_closure,
+)
 from titskit.linalg import dot, matrix_rank, matvec, nullspace, projection_matrix
 from titskit.lp import lp_feasible
 
@@ -228,6 +242,60 @@ def deletion_lattice_rank(arr, lattice, h):
     d = len(lineality_space(sub))
     flats = _flats_from_closures(sub, closures, d)
     return sub, FlatLattice(sub, flats)
+
+
+def _leq(flats, y, x):
+    return flats[y].closure >= flats[x].closure
+
+
+def mobius_table(flats):
+    """mu(y, x) for every pair y <= x, keyed (y, x)."""
+    order = sorted(range(len(flats)), key=lambda i: flats[i].rank)
+    table = {}
+    for yi in order:
+        interval = [x for x in order if _leq(flats, yi, x)]
+        table[(yi, yi)] = 1
+        for xi in sorted(interval, key=lambda i: flats[i].rank):
+            if xi == yi:
+                continue
+            acc = 0
+            for zi in interval:
+                if zi != xi and _leq(flats, zi, xi):
+                    acc += table[(yi, zi)]
+            table[(yi, xi)] = -acc
+    return table
+
+
+def validate_graded(flats):
+    """Raise UngradedLattice at the first cover that does not raise rank
+    by one."""
+    n = len(flats)
+    for y in range(n):
+        for x in range(n):
+            if x == y or not _leq(flats, y, x):
+                continue
+            covered = not any(
+                z != x and z != y and _leq(flats, y, z) and _leq(flats, z, x)
+                for z in range(n)
+            )
+            if covered and flats[x].rank != flats[y].rank + 1:
+                raise UngradedLattice(
+                    f"cover {y} < {x} jumps rank "
+                    f"{flats[y].rank} -> {flats[x].rank}"
+                )
+
+
+def characters_scan(flats, w):
+    """chi_X(w) for every flat X: a face is supported at or below X when its
+    zero set contains the closure of X."""
+    out = []
+    for f in flats:
+        acc = 0
+        for signs, c in w.coeffs.items():
+            if all(signs[j] == 0 for j in f.closure):
+                acc = acc + c
+        out.append(acc)
+    return out
 
 
 def cone_faces_lp(cone):

@@ -225,6 +225,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "--hyperplane", "9"],
         ["verify", "all", "--family", "braid", "--n", "3",
          "--hyperplane", "-1"],
+        ["verify", "kung", "--family", "braid", "--n", "3",
+         "--hyperplane", "1"],
+        ["verify", "characteristic", "--family", "braid", "--n", "3",
+         "--hyperplane", "0"],
         ["verify", "all", "--family", "braid", "--n", "4", "--samples", "0"],
         ["intrinsic", "--family", "braid", "--n", "3", "--samples", "-5"],
         ["verify", "kung", "--family", "braid", "--n", "3", "--s", "abc"],

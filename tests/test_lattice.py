@@ -19,10 +19,10 @@ from titskit.lattice import (
     support_closure,
 )
 from titskit.scalars import Poly, T
-from titskit.tits import tits_product
+from titskit.tits import TitsElement, character, tits_product
 
 from conftest import STANDARD, get_trio
-from oracles import witness_support_closure
+from oracles import validate_graded, witness_support_closure
 
 
 @pytest.mark.parametrize(
@@ -66,11 +66,13 @@ def test_braid3_structure():
 def test_support_of_faces():
     arr, faces, lat = get_trio("braid3")
     chamber = faces.face((-1, -1, -1))
-    assert lat.flat(lat.support_index(chamber)) == lat.flat(lat.top)
+    assert lat.face_support[chamber.signs] == lat.top
     center = faces.face((0, 0, 0))
-    assert lat.flat(lat.support_index(center)).closure == frozenset({0, 1, 2})
+    assert lat.flat(lat.face_support[center.signs]).closure == frozenset(
+        {0, 1, 2}
+    )
     wall = faces.face((0, -1, -1))
-    assert lat.flat(lat.support_index(wall)).closure == frozenset({0})
+    assert lat.flat(lat.face_support[wall.signs]).closure == frozenset({0})
     assert support_closure(arr, wall) == frozenset({0})
 
 
@@ -212,12 +214,53 @@ def test_build_lattice_rejects_faces_of_another_arrangement():
 
 def test_ungraded_lattice_rejected():
     arr, _, _ = get_trio("braid3")
-    flats = [
+    jump_at_bottom = [
         Flat(closure=frozenset({0, 1, 2}), dim=1, rank=0),
         Flat(closure=frozenset(), dim=3, rank=2),
     ]
-    with pytest.raises(UngradedLattice):
-        FlatLattice(arr, flats)
+    # a chain whose lower cover is fine and whose upper cover jumps
+    jump_at_top = [
+        Flat(closure=frozenset({0, 1, 2}), dim=0, rank=0),
+        Flat(closure=frozenset({0}), dim=1, rank=1),
+        Flat(closure=frozenset(), dim=3, rank=3),
+    ]
+    for flats, message in (
+        (jump_at_bottom, "cover 0 < 1 jumps rank 0 -> 2"),
+        (jump_at_top, "cover 1 < 2 jumps rank 1 -> 3"),
+    ):
+        with pytest.raises(UngradedLattice, match=message):
+            FlatLattice(arr, flats)
+        with pytest.raises(UngradedLattice, match=message):
+            validate_graded(flats)
+
+
+def test_flats_out_of_rank_order_rejected():
+    arr, _, lat = get_trio("braid3")
+    with pytest.raises(ValueError, match="in order of rank"):
+        FlatLattice(arr, reversed(lat.flats))
+
+
+def test_flat_index_out_of_range():
+    arr, _, lat = get_trio("braid3")
+    inside = lat.top
+    for x in (-1, len(lat)):
+        for query in (
+            lat.flat,
+            lat.below,
+            lat.above,
+            lambda x: lat.leq(x, inside),
+            lambda x: lat.leq(inside, x),
+            lambda x: lat.join(x, inside),
+            lambda x: lat.join(inside, x),
+            lambda x: lat.mobius(x, inside),
+            lambda x: lat.mobius(inside, x),
+            lambda x: charpoly_under(lat, x),
+            lambda x: charpoly_over(lat, x),
+        ):
+            with pytest.raises(IndexOutOfRange):
+                query(x)
+    with pytest.raises(IndexOutOfRange):
+        character(lat, TitsElement(arr, {}), 99)
 
 
 def test_parallel_pair_has_no_bottom():

@@ -1,7 +1,11 @@
 """Differential tests: the flat lattice built from the zero sets and
 dimensions of the faces against the rank-based construction in `oracles`,
-for the full arrangement and for every deletion, on random small rational
-arrangements of each kind."""
+its order, joins and Mobius function against the cubic scans there, and
+its characters against a scan of the element per flat, for the full
+arrangement and for every deletion, on random small rational arrangements
+of each kind."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +13,46 @@ from hypothesis import strategies as st
 
 from titskit.geometry import enumerate_faces
 from titskit.lattice import FlatLattice, build_lattice, deletion_lattice
+from titskit.tits import is_characteristic, takeuchi_element, unit_element
 
-from oracles import build_lattice_rank, deletion_lattice_rank
+from oracles import (
+    build_lattice_rank,
+    characters_scan,
+    deletion_lattice_rank,
+    mobius_table,
+    validate_graded,
+)
 from test_enumeration_oracle import KINDS, arrangements
 
 
-def _assert_same_flats(lat, oracle):
+def _assert_same_flats(lat, oracle, faces):
     assert lat.flats == oracle.flats  # closure, dim, rank and order
     assert lat.d == oracle.d  # the oracle's d is the lineality dimension
     assert [lat.mobius(x, lat.top) for x in range(len(lat))] == [
         oracle.mobius(x, oracle.top) for x in range(len(oracle))
     ]
+    flats = lat.flats
+    n = len(flats)
+    validate_graded(flats)
+    assert {
+        (y, x): lat.mobius(y, x) for y in range(n) for x in lat.above(y)
+    } == mobius_table(flats)
+    contains = [[flats[y].closure >= flats[x].closure for x in range(n)]
+                for y in range(n)]
+    assert [[lat.leq(y, x) for x in range(n)] for y in range(n)] == contains
+    for x in range(n):
+        assert lat.below(x) == [y for y in range(n) if contains[y][x]]
+        assert lat.above(x) == [y for y in range(n) if contains[x][y]]
+        for y in range(n):
+            meet = flats[x].closure & flats[y].closure
+            assert lat.join(x, y) == lat.index_of(meet)
+    for w, t in ((unit_element(faces), Fraction(1)),
+                 (takeuchi_element(faces), Fraction(-1))):
+        expected = tuple(
+            (x, chi, t ** f.rank, abs(chi - t ** f.rank))
+            for x, (f, chi) in enumerate(zip(flats, characters_scan(flats, w)))
+        )
+        assert is_characteristic(lat, w, t).entries == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -30,7 +63,7 @@ def test_lattice_matches_rank_oracle(kind, data):
     faces = enumerate_faces(arr)
     lat = build_lattice(arr, faces)
     oracle = build_lattice_rank(arr, faces)
-    _assert_same_flats(lat, oracle)
+    _assert_same_flats(lat, oracle, faces)
     assert lat.face_support == oracle.face_support
     # a deletion's flat dims must not depend on the order of the faces
     reordered = FlatLattice(
@@ -40,7 +73,8 @@ def test_lattice_matches_rank_oracle(kind, data):
         sub, dlat = deletion_lattice(arr, lat, h)
         oracle_sub, oracle_dlat = deletion_lattice_rank(arr, oracle, h)
         assert sub.hyperplanes == oracle_sub.hyperplanes
-        _assert_same_flats(dlat, oracle_dlat)
-        rebuilt = build_lattice(sub, enumerate_faces(sub))
+        sub_faces = enumerate_faces(sub)
+        _assert_same_flats(dlat, oracle_dlat, sub_faces)
+        rebuilt = build_lattice(sub, sub_faces)
         assert dlat.face_support == rebuilt.face_support
         assert deletion_lattice(arr, reordered, h)[1].flats == dlat.flats
