@@ -1,16 +1,17 @@
 """Command line surface: build or load arrangements, run the computations
 and the verification suite, and emit human tables or machine JSON.
 
-Each command handler returns its results payload, its checks and its human
-lines.  A check is one record built by `_check`: its `name`, whether it is
-`ok`, and the values it compared (both sides of an identity, a deviation
-and its tolerance), with an optional `note`.  `main` alone renders checks:
-sorted by name into the JSON report, and as `PASS name (note)` or
-`FAIL name` lines after the human output, so runs diff cleanly.
+Each command handler returns its results payload, its checks, its human
+lines and the cone profiles it computed.  A check is one record built by
+`_check`: its `name`, whether it is `ok`, and the values it compared (both
+sides of an identity, a deviation and its tolerance), with an optional
+`note`.  `main` alone renders checks: sorted by name into the JSON report,
+and as `PASS name (note)` or `FAIL name` lines after the human output, so
+runs diff cleanly.
 
 Reports always carry the command echo, the arrangement fingerprint, the
-results, the checks, wall-clock timings, and (for commands that may sample)
-the sample count and seed.
+results, the checks, wall-clock timings, and `seeds`: the sample count and
+seed when some profile was sampled, else empty.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _cmd_faces(arr, faces, lattice, args):
         flags = "C" if r["chamber"] else " "
         flags += "b" if r["essentially_bounded"] else " "
         human.append(f"  {r['sign_vector'] or '()':<12} dim {r['dim']} {flags}")
-    return results, [], human
+    return results, [], human, {}
 
 
 def _cmd_flats(arr, faces, lattice, args):
@@ -239,12 +240,12 @@ def _cmd_flats(arr, faces, lattice, args):
             f"  [{r['index']:>2}] rank {r['rank']} dim {r['dim']} "
             f"mu-to-top {r['mobius_to_top']:>4}  closure {{{closure}}}"
         )
-    return results, [], human
+    return results, [], human, {}
 
 
 def _cmd_charpoly(arr, faces, lattice, args):
     chi = lattice.charpoly()
-    return {"charpoly": poly_str(chi)}, [], [poly_str(chi)]
+    return {"charpoly": poly_str(chi)}, [], [poly_str(chi)], {}
 
 
 def _cmd_zaslavsky(arr, faces, lattice, args):
@@ -274,7 +275,7 @@ def _cmd_zaslavsky(arr, faces, lattice, args):
         f"essentially bounded {rep.bounded_census} "
         f"(chi predicts {rep.bounded_from_chi})",
     ]
-    return results, checks, human
+    return results, checks, human, {}
 
 
 # element kind -> (builder, the parameter it is characteristic for); the
@@ -289,16 +290,16 @@ _ELEMENTS = {
 
 
 def _cmd_element(arr, faces, lattice, args):
-    extra = {}
+    extra, profiles = {}, {}
     if args.kind == "intrinsic":
         nu = intrinsic_element(
             arr, faces, samples=args.samples, seed=args.seed
         )
-        w, param = nu.element, "t"
+        w, param, profiles = nu.element, "t", nu.profiles
         extra = {
             "profiles": [
                 _profile_json(s, p, faces.face(s).dim)
-                for s, p in sorted(nu.profiles.items())
+                for s, p in sorted(profiles.items())
             ],
             "tolerance": nu.character_tolerance(),
         }
@@ -315,7 +316,7 @@ def _cmd_element(arr, faces, lattice, args):
     human = [f"{args.kind} element (characteristic for {param})"]
     for entry in results["element"]:
         human.append(f"  {entry['sign_vector'] or '()':<12} {entry['coeff']}")
-    return results, [], human
+    return results, [], human, profiles
 
 
 # (check name, family it applies to or None for all, element, parameter)
@@ -493,7 +494,7 @@ def _cmd_verify(arr, faces, lattice, args):
     """Each group's checks; `all` is every group plus the checks that
     belong to none."""
     s, t = args.s, args.t
-    checks = []
+    checks, profiles = [], {}
     if args.what in ("characteristic", "all"):
         checks += _characteristic_checks(arr, faces, lattice)
     if args.what in ("kung", "all"):
@@ -505,6 +506,7 @@ def _cmd_verify(arr, faces, lattice, args):
             arr, faces, samples=args.samples, seed=args.seed
         )
         checks += _product_checks(arr, faces, nu, s, t)
+        profiles = nu.profiles
     if args.what == "all":
         rep = zaslavsky_counts(faces, lattice)
         checks += [
@@ -521,7 +523,7 @@ def _cmd_verify(arr, faces, lattice, args):
             _profile_consistency_check(faces, nu.profiles),
             _klivans_swartz_check(faces, lattice, nu.profiles),
         ]
-    return {"checked": len(checks)}, checks, []
+    return {"checked": len(checks)}, checks, [], profiles
 
 
 def _cmd_intrinsic(arr, faces, lattice, args):
@@ -571,7 +573,7 @@ def _cmd_intrinsic(arr, faces, lattice, args):
         "klivans_swartz": ks,
         "skipped": [signs_to_str(f.signs) for f in skipped],
     }
-    return results, checks, human
+    return results, checks, human, profiles
 
 
 _HANDLERS = {
@@ -601,7 +603,7 @@ def main(argv=None):
     lattice = build_lattice(arr, faces)
     built = time.perf_counter()
     try:
-        results, checks, human = _HANDLERS[args.command](
+        results, checks, human, profiles = _HANDLERS[args.command](
             arr, faces, lattice, args
         )
     except WrongFamily as exc:
@@ -624,7 +626,7 @@ def main(argv=None):
         },
         "seeds": (
             {"samples": args.samples, "seed": args.seed}
-            if hasattr(args, "samples")
+            if any(p.samples is not None for p in profiles.values())
             else {}
         ),
     }

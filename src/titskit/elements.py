@@ -322,19 +322,19 @@ def verify_kung(lattice, s, t):
     """
     s = Fraction(s)
     t = Fraction(t)
-    under = {x: charpoly_under(lattice, x) for x in range(len(lattice))}
-    over = {x: charpoly_over(lattice, x) for x in range(len(lattice))}
+    flats = range(len(lattice))
+    under = [charpoly_under(lattice, x) for x in flats]
+    under_s = [p(s) for p in under]
+    under_t = [p(t) for p in under]
+    over_t = [charpoly_over(lattice, x)(t) for x in flats]
     lhs = lattice.charpoly()(s * t)
     flat_sum = sum(
-        (
-            t ** lattice.flat(x).rank * under[x](s) * over[x](t)
-            for x in range(len(lattice))
-        ),
+        (t ** lattice.flat(x).rank * under_s[x] * over_t[x] for x in flats),
         Fraction(0),
     )
     pair_sum = Fraction(0)
-    for x in range(len(lattice)):
-        for y in range(len(lattice)):
+    for x in flats:
+        for y in flats:
             if lattice.join(x, y) == lattice.top:
-                pair_sum += under[x](s) * under[y](t)
+                pair_sum += under_s[x] * under_t[y]
     return KungReport(s=s, t=t, lhs=lhs, flat_sum=flat_sum, pair_sum=pair_sum)

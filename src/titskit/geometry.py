@@ -14,7 +14,6 @@ bounded when none of those cocircuits lies at infinity (x0 = 0).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -113,6 +112,10 @@ class Arrangement:
 
     def fingerprint(self):
         """Stable short hash of the canonical hyperplane data."""
+        # imported here: hashlib maps OpenSSL, about 3.5 MiB of resident
+        # memory that importing titskit need not pay
+        import hashlib
+
         blob = json.dumps(arrangement_to_json(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

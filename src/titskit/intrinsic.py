@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import acos, lcm, pi, sqrt
 
-from .geometry import _cone_covectors, recession_cone
+from .geometry import _cone_covectors, _line, recession_cone
 from .linalg import (
     common_denominator,
     dot,
@@ -170,8 +171,18 @@ class ConicVolumeProfile:
 
 
 def _lineality_basis(cone):
+    """Basis of the cone's lineality space.  It depends only on the lines
+    its rows span, and the reduced echelon form of the rows only on their
+    span, so the basis is computed once per set of lines: all recession
+    cones of one arrangement share it."""
     rows = list(cone.equalities) + list(cone.inequalities)
-    return nullspace(rows, cone.dim)
+    lines = tuple(sorted({_line(row) for row in rows if any(row)}))
+    return _line_nullspace(lines, cone.dim)
+
+
+@lru_cache(maxsize=256)
+def _line_nullspace(lines, dim):
+    return tuple(nullspace(list(lines), dim))
 
 
 def _angle(uv, uu, vv):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
+from types import MappingProxyType
 
 from .geometry import Arrangement, ArrangementMismatch, FaceSet
 from .scalars import Poly, T
@@ -99,6 +100,10 @@ class FlatLattice:
     def above(self, x):
         return list(_bits(self._above[self._checked(x)]))
 
+    def above_mask(self, x):
+        """The flats containing flat x, as a bitmask over flat indices."""
+        return self._above[self._checked(x)]
+
     def rank_top(self):
         return self.flats[self.top].rank
 
@@ -122,6 +127,10 @@ class FlatLattice:
         if self._checked(x) not in row:
             raise NotComparable(f"flat {y} is not below flat {x}")
         return row[x]
+
+    def mobius_row(self, y):
+        """mu(y, x) for every flat x >= y, in index order, read-only."""
+        return MappingProxyType(self._mobius[self._checked(y)])
 
     # -- characteristic polynomials ---------------------------------------
 

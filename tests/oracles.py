@@ -20,6 +20,13 @@ the flats' closures, read from the flats alone.  `characters_scan` is
 chi_X(w) with one scan of the element per flat, as before characters came
 from support sums in `titskit.tits`.
 
+`multiply_pairs` is the Tits product as one composition per pair of
+faces, as before the product was star-factored in `titskit.tits`;
+`flat_multiply_pairs` (one `join` per pair of flats) and `kung_pairs`
+(each flat's polynomials evaluated inside the pair loop) are the flat
+algebra product and Kung's identity as they were before they read each
+operand's above-set and each evaluation once.
+
 `cone_faces_lp` (one LP per subset of inequalities), `implicit_equalities_lp`
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
 for the active-set multipliers with an LP) are kept as they were before
@@ -38,10 +45,13 @@ from titskit.lattice import (
     FlatLattice,
     IndexOutOfRange,
     UngradedLattice,
+    charpoly_over,
+    charpoly_under,
     support_closure,
 )
 from titskit.linalg import dot, matrix_rank, matvec, nullspace, projection_matrix
 from titskit.lp import lp_feasible
+from titskit.tits import NotClosed, TitsElement, compose_signs
 
 
 def _reduce_basis(basis, rates):
@@ -296,6 +306,54 @@ def characters_scan(flats, w):
                 acc = acc + c
         out.append(acc)
     return out
+
+
+def multiply_pairs(faces, w, v):
+    """w.v with one sign-vector composition per pair of faces."""
+    out = {}
+    for fs, cf in w.coeffs.items():
+        for gs, cg in v.coeffs.items():
+            key = compose_signs(fs, gs)
+            out[key] = out.get(key, 0) + cf * cg
+    result = TitsElement(faces.arr, out)
+    for s in result.coeffs:
+        if s not in faces:
+            raise NotClosed(f"{s} is missing from the face set")
+    return result
+
+
+def flat_multiply_pairs(lattice, u, v):
+    """H_X H_Y = H_{X join Y} with one `join` per pair of flats."""
+    out = {}
+    for x, cx in u.items():
+        if cx == 0:
+            continue
+        for y, cy in v.items():
+            if cy == 0:
+                continue
+            k = lattice.join(x, y)
+            out[k] = out.get(k, 0) + cx * cy
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def kung_pairs(lattice, s, t):
+    """(chi(st), the sum over flats, the sum over pairs joining to the top)
+    of Kung's identity, evaluating the polynomials inside the loops."""
+    s = Fraction(s)
+    t = Fraction(t)
+    flats = range(len(lattice))
+    under = {x: charpoly_under(lattice, x) for x in flats}
+    over = {x: charpoly_over(lattice, x) for x in flats}
+    flat_sum = sum(
+        (t ** lattice.flat(x).rank * under[x](s) * over[x](t) for x in flats),
+        Fraction(0),
+    )
+    pair_sum = Fraction(0)
+    for x in flats:
+        for y in flats:
+            if lattice.join(x, y) == lattice.top:
+                pair_sum += under[x](s) * under[y](t)
+    return lattice.charpoly()(s * t), flat_sum, pair_sum
 
 
 def cone_faces_lp(cone):

@@ -198,7 +198,7 @@ def test_verify_all_empty_arrangement(tmp_path, capsys):
 
 def test_failing_check_exits_1(capsys, monkeypatch):
     def fake(arr, faces, lattice, args):
-        return {}, [{"name": "forced", "ok": False}], ["boom"]
+        return {}, [{"name": "forced", "ok": False}], ["boom"], {}
 
     monkeypatch.setitem(cli._HANDLERS, "zaslavsky", fake)
     code, out, err = run(capsys, ["zaslavsky", "--family", "braid", "--n", "3"])
@@ -312,6 +312,25 @@ def test_intrinsic_exact_only_braid4(capsys):
     assert {r["method"] for r in rows} == {"exact", "unavailable"}
     assert len(rep["results"]["skipped"]) == 16
     assert rep["results"]["klivans_swartz"] is None
+
+
+def test_seeds_reported_only_when_sampled(capsys):
+    # every braid3 cone is exact, and Kung's identity profiles no cone
+    for argv in (
+        ["intrinsic", "--family", "braid", "--n", "3", "--exact-only"],
+        ["verify", "kung", "--family", "braid", "--n", "3"],
+    ):
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert rep["seeds"] == {}
+    # coord4 chambers are orthants of essential dimension 4
+    code, rep = run_json(
+        capsys,
+        ["intrinsic", "--family", "coordinate", "--n", "4", "--samples",
+         "2000", "--seed", "5"],
+    )
+    assert code == 0
+    assert rep["seeds"] == {"samples": 2000, "seed": 5}
 
 
 def test_intrinsic_exact_braid3(capsys):

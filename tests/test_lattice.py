@@ -19,7 +19,7 @@ from titskit.lattice import (
     support_closure,
 )
 from titskit.scalars import Poly, T
-from titskit.tits import TitsElement, character, tits_product
+from titskit.tits import TitsElement, character, flat_multiply, tits_product
 
 from conftest import STANDARD, get_trio
 from oracles import validate_graded, witness_support_closure
@@ -252,6 +252,10 @@ def test_flat_index_out_of_range():
             lambda x: lat.leq(inside, x),
             lambda x: lat.join(x, inside),
             lambda x: lat.join(inside, x),
+            lat.above_mask,
+            lat.mobius_row,
+            lambda x: flat_multiply(lat, {x: 1}, {inside: 1}),
+            lambda x: flat_multiply(lat, {inside: 1}, {x: 1}),
             lambda x: lat.mobius(x, inside),
             lambda x: lat.mobius(inside, x),
             lambda x: charpoly_under(lat, x),

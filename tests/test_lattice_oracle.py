@@ -37,6 +37,9 @@ def _assert_same_flats(lat, oracle, faces):
     assert {
         (y, x): lat.mobius(y, x) for y in range(n) for x in lat.above(y)
     } == mobius_table(flats)
+    assert {
+        (y, x): mu for y in range(n) for x, mu in lat.mobius_row(y).items()
+    } == mobius_table(flats)
     contains = [[flats[y].closure >= flats[x].closure for x in range(n)]
                 for y in range(n)]
     assert [[lat.leq(y, x) for x in range(n)] for y in range(n)] == contains

@@ -97,9 +97,16 @@ def test_minimal_face_is_left_identity_when_central():
 
 
 def test_product_rejects_non_faces():
-    _, faces, _ = get_trio("braid3")
+    arr, faces, _ = get_trio("braid3")
     with pytest.raises(NotAFace):
         tits_product(faces, (1, -1, 1), (0, 0, 0))
+    # a key that is no sign vector of length m cannot be packed
+    zero = basis_element(arr, (0, 0, 0))
+    for bad in ((1, -1), (1, -1, 1, 0), (2, 0, 0)):
+        w = TitsElement(arr, {bad: Fraction(1)})
+        for left, right in ((w, zero), (zero, w)):
+            with pytest.raises(NotAFace):
+                multiply(faces, left, right)
 
 
 def test_products_outside_the_face_set_rejected():
@@ -237,6 +244,9 @@ def test_q_basis_orthogonal_idempotents():
             for y, qy in q.items():
                 prod = flat_multiply(lat, qx, qy)
                 assert prod == (qx if x == y else {})
+        # the rows are the lattice's own Mobius rows, so they are read-only
+        with pytest.raises(TypeError):
+            q[lat.top][lat.top] = 0
         # completeness: the sum acts as the unit of the flat algebra
         total = {}
         for qx in q.values():
