@@ -249,6 +249,7 @@ def _idot(u, v):
 
 
 def _bits(mask):
+    """Indices of the set bits of a mask, in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -359,30 +360,28 @@ def _line_cocircuits(lines):
     return tuple(v for _, _, v in _cocircuits(list(lines)))
 
 
-def _cone_covectors(cone):
-    """(rays, covectors) of a homogeneous cone, as masks over its rows,
-    equalities first and then inequalities.
-
-    The rays are the cocircuits that are 0 on every equality and nowhere -:
-    the cone's rays modulo its lineality space, as (pos, neg, vector).
-    Their closure under composition is one covector per face, the sign
-    vector of its relative interior.  The cocircuit vectors depend only on
-    the lines the rows span, so all recession cones of one arrangement
-    share one cocircuit search.  A zero row is 0 on every point, so it is
-    active on every face; it stays out of that search, whose cuts need a
-    row that is not orthogonal to the basis.
+def _cone_rays(cone):
+    """The rays of a homogeneous cone modulo its lineality space, as
+    (pos, neg, vector) with masks over its rows, equalities first and then
+    inequalities: the cocircuits that are 0 on every equality and nowhere
+    -.  Their closure under composition (_covectors) is one covector per
+    face, the sign vector of its relative interior.  The cocircuit vectors
+    depend only on the lines the rows span, so all recession cones of one
+    arrangement share one cocircuit search.  A zero row is 0 on every
+    point, so it is active on every face; it stays out of that search,
+    whose cuts need a row that is not orthogonal to the basis.
     """
     rows = list(cone.equalities) + list(cone.inequalities)
     lines = sorted({_line(row) for row in rows if any(row)})
     if not lines:
-        return [], {(0, 0)}
+        return []
     eq_mask = (1 << len(cone.equalities)) - 1
     rays = []
     for v in _line_cocircuits(tuple(lines)):
         p, q = _sign_masks(rows, v)
         if not (q or p & eq_mask):
             rays.append((p, q, v))
-    return rays, _covectors(rays, len(rows))
+    return rays
 
 
 def _below(cocircuits, p, q):

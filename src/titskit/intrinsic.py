@@ -20,8 +20,11 @@ Two evaluation paths:
 
 A cone's faces and rays come from the covectors of its own rows, not from
 an LP per subset of inequalities: the rays are the cocircuits that are 0 on
-the equalities and nowhere negative, and the faces are their closure under
-composition (geometry._cone_covectors).
+the equalities and nowhere negative (geometry._cone_rays), and the faces
+are their closure under composition.  Every projection onto a subspace
+cut out by some of the rows (a face span, or the lineality space) comes
+from one cache keyed by the lines of those rows (_complement), so all
+recession cones of one arrangement project once per flat.
 
 Each face's recession cone is profiled once, by intrinsic_element, into
 the table IntrinsicElement.profiles (face signs -> ConicVolumeProfile).
@@ -37,13 +40,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import acos, lcm, pi, sqrt
 
-from .geometry import _cone_covectors, _line, recession_cone
+from .geometry import _cone_rays, _covectors, _line, recession_cone
 from .linalg import (
     common_denominator,
     dot,
     matrix_rank,
     matvec,
-    nullspace,
     projection_matrix,
 )
 from .scalars import Poly
@@ -74,33 +76,43 @@ class ConeFace:
     proj: tuple  # n x n Fraction matrix, orthogonal projection onto the span
 
 
+def _complement(rows, n):
+    """(P, dim) for the subspace of R^n orthogonal to every row: P its
+    exact orthogonal projection matrix, dim its dimension.  Both depend
+    only on the lines the rows span, so they are cached by those lines."""
+    lines = tuple(sorted({_line(r) for r in rows if any(r)}))
+    return _line_complement(lines, n)
+
+
+@lru_cache(maxsize=1024)
+def _line_complement(lines, n):
+    p = projection_matrix(list(lines), n)
+    proj = tuple(
+        tuple(int(i == j) - c for j, c in enumerate(row))
+        for i, row in enumerate(p)
+    )
+    return proj, n - int(sum(p[i][i] for i in range(n)))
+
+
 def cone_faces(cone):
     """All faces of the cone, each with its exact active set.
 
-    The faces are the covectors of the cone's own rows, closed from the
-    rays (geometry._cone_covectors); a face's active set is where its
-    covector is 0.  Sorted largest active set first.
+    The faces are the covectors of the cone's own rows: the closure of its
+    rays (geometry._cone_rays) under composition.  A face's active set is
+    where its covector is 0, and its span is orthogonal to the equalities
+    and the active rows.  Sorted largest active set first.
     """
-    n = cone.dim
     neq = len(cone.equalities)
-    _, covectors = _cone_covectors(cone)
+    rows = list(cone.equalities) + list(cone.inequalities)
     out = []
-    for p, _ in covectors:
+    for p, _ in _covectors(_cone_rays(cone), len(rows)):
         active = [
             i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
         ]
-        span_rows = list(cone.equalities) + [
-            cone.inequalities[i] for i in active
-        ]
-        basis = nullspace(span_rows, n)
-        proj = projection_matrix(basis, n)
-        out.append(
-            ConeFace(
-                active=frozenset(active),
-                dim=len(basis),
-                proj=tuple(tuple(row) for row in proj),
-            )
+        proj, dim = _complement(
+            rows[:neq] + [cone.inequalities[i] for i in active], cone.dim
         )
+        out.append(ConeFace(active=frozenset(active), dim=dim, proj=proj))
     out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
     return out
 
@@ -140,11 +152,12 @@ def project_to_cone(cone, point, faces=None):
     residual = tuple(a - b for a, b in zip(p, q))
     if any(matvec(face.proj, residual)):
         raise ProjectionMismatch("residual is not orthogonal to the face")
-    rays, _ = _cone_covectors(cone)
+    rows = list(cone.equalities) + list(cone.inequalities)
+    lineality, _ = _complement(rows, cone.dim)
     if (
         dot(residual, q)
-        or any(dot(residual, v) for v in _lineality_basis(cone))
-        or any(dot(residual, v) > 0 for _, _, v in rays)
+        or any(matvec(lineality, residual))
+        or any(dot(residual, v) > 0 for _, _, v in _cone_rays(cone))
     ):
         raise ProjectionMismatch("residual is not in the normal cone")
     return q, face.dim
@@ -170,21 +183,6 @@ class ConicVolumeProfile:
         return sum(((-1) ** k) * v for k, v in enumerate(self.values))
 
 
-def _lineality_basis(cone):
-    """Basis of the cone's lineality space.  It depends only on the lines
-    its rows span, and the reduced echelon form of the rows only on their
-    span, so the basis is computed once per set of lines: all recession
-    cones of one arrangement share it."""
-    rows = list(cone.equalities) + list(cone.inequalities)
-    lines = tuple(sorted({_line(row) for row in rows if any(row)}))
-    return _line_nullspace(lines, cone.dim)
-
-
-@lru_cache(maxsize=256)
-def _line_nullspace(lines, dim):
-    return tuple(nullspace(list(lines), dim))
-
-
 def _angle(uv, uu, vv):
     """Angle between two vectors, from their exact dot product uv and
     squared norms uu, vv; the float step is this final arccos."""
@@ -195,7 +193,7 @@ def _angle(uv, uu, vv):
 def try_exact_profile(cone):
     """Exact profile when the essential dimension is at most 3, else None.
 
-    The rays (geometry._cone_covectors), projected exactly off the
+    The rays (geometry._cone_rays), projected exactly off the
     lineality space L, span the essential space; every angle comes from
     their Gram matrix G.  With l = dim L, a wedge of angle t has
     v_l = 1/2 - t/2pi, v_(l+1) = 1/2, v_(l+2) = t/2pi.  In essential
@@ -210,13 +208,11 @@ def try_exact_profile(cone):
     v_(l+1) = sum (pi - d_i)/4pi and v_l = (2pi - sum t_i)/4pi.
     """
     n = cone.dim
-    lin = _lineality_basis(cone)
-    ell = len(lin)
-    rays, _ = _cone_covectors(cone)
+    lin, ell = _complement(list(cone.equalities) + list(cone.inequalities), n)
+    rays = _cone_rays(cone)
     us = [v for _, _, v in rays]
-    if lin:
-        proj = projection_matrix(lin, n)
-        us = [tuple(a - b for a, b in zip(u, matvec(proj, u))) for u in us]
+    if ell:
+        us = [tuple(a - b for a, b in zip(u, matvec(lin, u))) for u in us]
     ess = matrix_rank(us)
     if ess > 3:
         return None
@@ -279,14 +275,17 @@ def _mc_profile(cone, samples, seed):
     for f in faces:
         for row in f.proj:
             den = lcm(den, common_denominator(row))
+    # past int64, the matrices are Python ints (object arrays); every
+    # chunk then takes the big-integer path below
+    dtype = np.int64 if den < _BIG else object
     mats = []
     diffs = []
     for f in faces:
         m = np.array(
-            [[int(c * den) for c in row] for row in f.proj], dtype=np.int64
+            [[int(c * den) for c in row] for row in f.proj], dtype=dtype
         )
         mats.append(m)
-        diffs.append(den * np.eye(n, dtype=np.int64) - m)
+        diffs.append(den * np.eye(n, dtype=dtype) - m)
     ineq = (
         np.array(cone.inequalities, dtype=np.int64)
         if cone.inequalities

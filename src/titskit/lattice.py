@@ -20,7 +20,7 @@ from functools import reduce
 from operator import and_
 from types import MappingProxyType
 
-from .geometry import Arrangement, ArrangementMismatch, FaceSet
+from .geometry import Arrangement, ArrangementMismatch, FaceSet, _bits
 from .scalars import Poly, T
 
 
@@ -137,14 +137,6 @@ class FlatLattice:
     def charpoly(self):
         """chi(t) = sum over flats Y of mu(Y, top) t^rank(Y)."""
         return charpoly_under(self, self.top)
-
-
-def _bits(mask):
-    """Indices of the set bits of a mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def support_closure(arr, face):

@@ -62,39 +62,23 @@ def nullspace(rows, n):
     return basis
 
 
-def solve(rows, rhs):
-    """One exact solution of rows @ x = rhs, or None if inconsistent."""
-    n = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][n]
-    return tuple(x)
-
-
 def projection_matrix(vectors, n):
-    """Orthogonal projection onto span(vectors), as an n x n Fraction matrix."""
-    red, pivots = rref(vectors) if vectors else ([], [])
-    basis = [red[i] for i in range(len(pivots))]
-    if not basis:
-        return [[Fraction(0)] * n for _ in range(n)]
-    k = len(basis)
-    gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-    # Solve gram @ Y = B for Y (k x n), then P = B^T @ Y.
-    y_cols = []
-    for c in range(n):
-        rhs = [basis[i][c] for i in range(k)]
-        y_cols.append(solve(gram, rhs))
-    p = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            p[i][j] = sum(
-                (basis[r][i] * y_cols[j][r] for r in range(k)), Fraction(0)
-            )
-    return p
+    """Orthogonal projection onto span(vectors), as an n x n Fraction matrix.
+
+    With B the matrix of the vectors as rows, P = B^T Y for every solution
+    Y of (B B^T) Y = B, since B^T Y is the same for all of them; one
+    elimination of [B B^T | B] gives one.  The vectors need not be
+    independent.
+    """
+    k = len(vectors)
+    m, pivots = rref([[dot(u, v) for v in vectors] + list(u) for u in vectors])
+    y = [[Fraction(0)] * n for _ in range(k)]
+    for r, pc in enumerate(pivots):
+        y[pc] = m[r][k:]
+    return [
+        [dot((b[i] for b in vectors), (row[j] for row in y)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def common_denominator(fractions_iter):

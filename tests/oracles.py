@@ -31,7 +31,10 @@ operand's above-set and each evaluation once.
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
 for the active-set multipliers with an LP) are kept as they were before
 cone faces moved to the covectors of the cone's rows in
-`titskit.intrinsic`.
+`titskit.intrinsic`.  Their face projections come from
+`projection_matrix_gram` (a row-reduced basis, its Gram matrix, then one
+solve per column), as `titskit.linalg.projection_matrix` was before it
+became one elimination of [B B^T | B].
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from titskit.lattice import (
     charpoly_under,
     support_closure,
 )
-from titskit.linalg import dot, matrix_rank, matvec, nullspace, projection_matrix
+from titskit.linalg import dot, matrix_rank, matvec, nullspace, rref
 from titskit.lp import lp_feasible
 from titskit.tits import NotClosed, TitsElement, compose_signs
 
@@ -382,7 +385,7 @@ def cone_faces_lp(cone):
             cone.inequalities[i] for i in subset
         ]
         basis = nullspace(span_rows, n)
-        proj = projection_matrix(basis, n)
+        proj = projection_matrix_gram(basis, n)
         out.append(
             ConeFace(
                 active=frozenset(subset),
@@ -392,6 +395,41 @@ def cone_faces_lp(cone):
         )
     out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
     return out
+
+
+def _solve(rows, rhs):
+    """One exact solution of rows @ x = rhs, or None if inconsistent."""
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    m, pivots = rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][n]
+    return tuple(x)
+
+
+def projection_matrix_gram(vectors, n):
+    """Orthogonal projection onto span(vectors), as an n x n Fraction matrix."""
+    red, pivots = rref(vectors) if vectors else ([], [])
+    basis = [red[i] for i in range(len(pivots))]
+    if not basis:
+        return [[Fraction(0)] * n for _ in range(n)]
+    k = len(basis)
+    gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
+    # Solve gram @ Y = B for Y (k x n), then P = B^T @ Y.
+    y_cols = []
+    for c in range(n):
+        rhs = [basis[i][c] for i in range(k)]
+        y_cols.append(_solve(gram, rhs))
+    p = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            p[i][j] = sum(
+                (basis[r][i] * y_cols[j][r] for r in range(k)), Fraction(0)
+            )
+    return p
 
 
 def project_to_cone_lp(cone, point, faces=None):

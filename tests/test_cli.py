@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import titskit.cli as cli
 from titskit import intrinsic
 from titskit.cli import main
+from titskit.geometry import arrangement_to_json
 
 from conftest import get_trio
 
@@ -194,6 +199,47 @@ def test_verify_all_empty_arrangement(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "hyperplanes": []}))
     code, rep = run_json(capsys, ["verify", "all", "--file", str(path)])
     assert code == 0 and rep["ok"] is True
+
+
+def test_verify_all_with_a_112_bit_denominator(capsys):
+    # a chamber's face projections share a denominator past int64, so the
+    # Monte Carlo kernel works in Python ints
+    code, rep = run_json(
+        capsys,
+        ["verify", "all", "--family", "generic", "--n", "4", "--m", "5",
+         "--seed", "2", "--samples", "200"],
+    )
+    assert code == 0
+    assert all(c["ok"] for c in rep["checks"])
+
+
+def test_reports_do_not_depend_on_asserts(tmp_path):
+    # python -O strips assert statements; no check may rely on one
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(
+        json.dumps(arrangement_to_json(get_trio("triangle")[0]))
+    )
+    for args in (["--family", "braid", "--n", "3"], ["--file", str(triangle)]):
+        reports = []
+        for flags in ([], ["-O"]):
+            out = subprocess.run(
+                [sys.executable, *flags, "-m", "titskit.cli", "verify", "all",
+                 *args, "--json"],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            rep = json.loads(out)
+            del rep["timings"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert reports[0]["ok"] is True
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):

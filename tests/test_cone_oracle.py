@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from titskit.geometry import HomogeneousCone, enumerate_faces, recession_cone
 from titskit.intrinsic import cone_faces, project_to_cone
+from titskit.linalg import projection_matrix
 
-from oracles import cone_faces_lp, implicit_equalities_lp, project_to_cone_lp
+from oracles import (
+    cone_faces_lp,
+    implicit_equalities_lp,
+    project_to_cone_lp,
+    projection_matrix_gram,
+)
 from test_enumeration_oracle import arrangements
 
 KINDS = (
@@ -97,3 +103,14 @@ def test_cone_faces_match_lp_oracle(kind, data):
         assert project_to_cone(cone, q, faces) == project_to_cone_lp(
             cone, q, faces
         )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(data=st.data())
+def test_projection_matrix_matches_gram_oracle(data):
+    # dependent and zero vectors included: the one elimination of
+    # [B B^T | B] needs no basis first
+    n = data.draw(st.integers(1, 4))
+    vec = st.lists(_coords, min_size=n, max_size=n).map(tuple)
+    vectors = data.draw(st.lists(vec, max_size=5))
+    assert projection_matrix(vectors, n) == projection_matrix_gram(vectors, n)

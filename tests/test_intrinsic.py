@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titskit import intrinsic
-from titskit.geometry import HomogeneousCone, _cone_covectors, recession_cone
+from titskit.elements import coordinate_arrangement, generic_arrangement
+from titskit.geometry import HomogeneousCone, _cone_rays, recession_cone
 from titskit.intrinsic import (
     PolygonMismatch,
     ProjectionMismatch,
@@ -211,8 +212,8 @@ def test_polygon_with_a_missing_ray_is_rejected(monkeypatch):
     assert try_exact_profile(square).method == "exact"
     monkeypatch.setattr(
         intrinsic,
-        "_cone_covectors",
-        lambda cone: (_cone_covectors(cone)[0][1:], None),
+        "_cone_rays",
+        lambda cone: _cone_rays(cone)[1:],
     )
     with pytest.raises(PolygonMismatch, match="1 neighbouring rays"):
         try_exact_profile(square)
@@ -221,15 +222,18 @@ def test_polygon_with_a_missing_ray_is_rejected(monkeypatch):
 def _polar(cone):
     """The polar cone {y : y.r <= 0 on every ray r, y.l = 0 on the
     lineality space}, with integer rows."""
-    rays, _ = _cone_covectors(cone)
-    lineality = [
-        tuple(int(c * common_denominator(v)) for c in v)
-        for v in intrinsic._lineality_basis(cone)
-    ]
+    rows = list(cone.equalities) + list(cone.inequalities)
+    lineality, _ = intrinsic._complement(rows, cone.dim)
     return HomogeneousCone(
         dim=cone.dim,
-        equalities=tuple(lineality),
-        inequalities=tuple(tuple(-c for c in v) for _, _, v in rays),
+        equalities=tuple(
+            tuple(int(c * common_denominator(v)) for c in v)
+            for v in lineality
+            if any(v)
+        ),
+        inequalities=tuple(
+            tuple(-c for c in v) for _, _, v in _cone_rays(cone)
+        ),
     )
 
 
@@ -303,6 +307,62 @@ def test_monte_carlo_big_denominator_fallback():
     assert abs(mc.total() - 1.0) < 1e-12
     for a, b in zip(mc.values, exact.values):
         assert abs(a - b) <= 0.05
+
+
+def _mc_den(cone):
+    den = 1
+    for f in cone_faces(cone):
+        for row in f.proj:
+            den = math.lcm(den, common_denominator(row))
+    return den
+
+
+@pytest.mark.parametrize(
+    "arr, chamber, path",
+    [
+        # den 1: int64 matrices and samples
+        (coordinate_arrangement(4), (1,) * 4, "int64"),
+        # den of 17 bits: int64 matrices, Python-int samples
+        (generic_arrangement(3, 4, seed=11), (-1,) * 4, "big samples"),
+        # den of 112 bits: Python-int matrices
+        (generic_arrangement(4, 5, seed=2), (-1,) * 5, "big matrices"),
+    ],
+    ids=["int64", "big-samples", "big-matrices"],
+)
+def test_mc_kernel_matches_exact_classifier(arr, chamber, path):
+    # _mc_profile classifies the first chunk's dyadic points exactly as
+    # project_to_cone does, on each of its three arithmetic paths
+    cone = recession_cone(arr, chamber)
+    den = _mc_den(cone)
+    assert (den >= intrinsic._BIG) == (path == "big matrices")
+    assert (den > 1) == (path != "int64")
+    k, seed = 300, 7
+    x = np.random.default_rng([seed, 0]).standard_normal((k, cone.dim))
+    points = np.rint(x * intrinsic._SCALE).astype(int).tolist()
+    faces = cone_faces(cone)
+    counts = [0] * (cone.dim + 1)
+    for p in points:
+        counts[project_to_cone(cone, p, faces)[1]] += 1
+    expected = tuple(float(c) / k for c in counts)
+    assert intrinsic._mc_profile(cone, k, seed) == expected
+
+
+def test_projections_computed_once_per_flat(monkeypatch):
+    # every face span of a braid5 recession cone is a flat; the projection
+    # cache is keyed by the lines of the span's rows
+    arr, faces, lat = get_trio("braid5")
+    calls = []
+    projection = intrinsic.projection_matrix
+
+    def counting(vectors, n):
+        calls.append(vectors)
+        return projection(vectors, n)
+
+    monkeypatch.setattr(intrinsic, "projection_matrix", counting)
+    intrinsic._line_complement.cache_clear()
+    intrinsic_element(arr, faces, samples=10)
+    assert len(lat) == 52
+    assert 0 < len(calls) <= len(lat)
 
 
 def test_try_exact_profile_reports_unavailable():
