@@ -4,7 +4,10 @@ v_k of a cone is the Gaussian probability that the nearest point of the
 cone lies on a k-dimensional face.  Cones of essential dimension at most 3
 come out in closed form from the angles between their extreme rays
 (Girard's theorem and McMullen's angle sums); higher ones use the seeded
-integer Monte Carlo path, which force_mc selects for any cone.  Summing
+integer Monte Carlo path, which force_mc selects for any cone: each sample
+is given its face by exact sign tests on that face's Moreau cell (its
+nearest point is P_F x in the relative interior of F, its residual in the
+normal cone at F), with no distance computed.  Summing
 chamber profiles recovers the characteristic polynomial coefficient by
 coefficient (Klivans-Swartz).
 """

@@ -94,7 +94,8 @@ def build_parser():
         "--seed",
         type=int,
         default=0,
-        help="seed for the generic family and for Monte Carlo sampling",
+        help="non-negative seed for the generic family and for Monte Carlo "
+        "sampling",
     )
     source.add_argument("--file", help="arrangement JSON file")
     source.add_argument(
@@ -590,6 +591,8 @@ _HANDLERS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     hyperplane = getattr(args, "hyperplane", None)
     if hyperplane is not None and args.what not in ("deletion", "all"):
         parser.error("--hyperplane only applies to verify deletion and all")

@@ -10,13 +10,13 @@ Two evaluation paths:
   theorem and McMullen's angle sums, the polygon's; floats enter only at
   each arccos (try_exact_profile);
 * Monte Carlo otherwise.  Gaussian samples are rationalized to dyadic
-  rationals, so nearest-point classification is exact integer arithmetic:
-  the projection matrices onto the spans of all cone faces are scaled to a
-  common integer denominator, each sample picks the feasible candidate at
-  minimal distance, and ties resolve to the largest active set, which is
-  the face whose relative interior actually contains the projection.
-  Chunked substreams keyed by (seed, chunk index) make runs reproducible
-  bit for bit regardless of execution order.
+  rationals, and each is given its face by exact integer sign tests: by
+  the Moreau decomposition the nearest point of x is P_F x, for the one
+  face F with P_F x in the relative interior of F and x - P_F x in the
+  normal cone at F (_cells).  Each face's tests are its own primitive
+  integer rows, so there is no distance, no common denominator across
+  faces and no search.  Chunked substreams keyed by (seed, chunk index)
+  make runs reproducible bit for bit regardless of execution order.
 
 A cone's faces and rays come from the covectors of its own rows, not from
 an LP per subset of inequalities: the rays are the cocircuits that are 0 on
@@ -36,9 +36,9 @@ element built from it, so neither samples a cone again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import acos, lcm, pi, sqrt
+from math import acos, gcd, pi, sqrt
+from operator import mul
 
 from .geometry import _cone_rays, _covectors, _line, recession_cone
 from .linalg import (
@@ -61,7 +61,8 @@ FLOAT_FLOOR = 1e-9
 
 
 class ProjectionMismatch(RuntimeError):
-    """A computed nearest point that fails the exact optimality conditions."""
+    """Monte Carlo samples that do not lie in exactly one Moreau cell of
+    the cone's faces."""
 
 
 class PolygonMismatch(RuntimeError):
@@ -115,52 +116,6 @@ def cone_faces(cone):
         out.append(ConeFace(active=frozenset(active), dim=dim, proj=proj))
     out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
     return out
-
-
-def project_to_cone(cone, point, faces=None):
-    """Exact nearest point of the cone, with the face dimension it lies in.
-
-    The projection is the feasible candidate of minimal distance among the
-    orthogonal projections onto the spans of all faces; ties share the same
-    point and the largest active set names the face containing it in its
-    relative interior.  Before returning, ProjectionMismatch is raised
-    unless the point lies in the relative interior of that face, the
-    residual is orthogonal to the face's span, and the residual lies in the
-    normal cone at the point: orthogonal to the point and to the lineality
-    space, and nonpositive on every ray.
-    """
-    p = tuple(Fraction(c) for c in point)
-    if faces is None:
-        faces = cone_faces(cone)
-    best = None
-    for face in faces:
-        q = matvec(face.proj, p)
-        if any(dot(a, q) < 0 for a in cone.inequalities):
-            continue
-        dist = sum((a - b) ** 2 for a, b in zip(p, q))
-        if best is None or dist < best[0]:
-            best = (dist, face, q)
-    if best is None:
-        raise ProjectionMismatch("no face projects into the cone")
-    _, face, q = best
-    active = sorted(face.active)
-    zeros = [i for i, a in enumerate(cone.inequalities) if dot(a, q) == 0]
-    if zeros != active or any(dot(e, q) for e in cone.equalities):
-        raise ProjectionMismatch(
-            f"nearest point is not inside the face with active set {active}"
-        )
-    residual = tuple(a - b for a, b in zip(p, q))
-    if any(matvec(face.proj, residual)):
-        raise ProjectionMismatch("residual is not orthogonal to the face")
-    rows = list(cone.equalities) + list(cone.inequalities)
-    lineality, _ = _complement(rows, cone.dim)
-    if (
-        dot(residual, q)
-        or any(matvec(lineality, residual))
-        or any(dot(residual, v) > 0 for _, _, v in _cone_rays(cone))
-    ):
-        raise ProjectionMismatch("residual is not in the normal cone")
-    return q, face.dim
 
 
 @dataclass(frozen=True)
@@ -264,71 +219,91 @@ def try_exact_profile(cone):
     )
 
 
+def _primitive(ints):
+    """The integer row divided by the gcd of its entries: the multiple with
+    coprime entries, whose sign on any point is the row's."""
+    g = gcd(*ints)
+    return tuple(c // g for c in ints) if g else tuple(ints)
+
+
+def _cells(cone):
+    """The Moreau cell of each face F of the cone, as (dim F, inner, outer)
+    with primitive integer rows: x lies in the cell exactly when P_F x is in
+    the relative interior of F, r . x > 0 for each inner row P_F a (a an
+    inequality not active on F), and x - P_F x is in the normal cone at F,
+    r . x <= 0 for each outer row v - P_F v (v a ray outside span F).  The
+    cells partition space: the nearest point of x in the cone is P_F x for
+    the one face F whose cell holds x.  P_F is scaled to the integer matrix
+    m = den P_F, so the rows come from integer products."""
+    rays = [v for _, _, v in _cone_rays(cone)]
+    cells = []
+    for f in cone_faces(cone):
+        den = common_denominator(c for row in f.proj for c in row)
+        m = [[int(c * den) for c in row] for row in f.proj]
+        inner = {
+            _primitive([sum(map(mul, row, a)) for row in m])
+            for i, a in enumerate(cone.inequalities)
+            if i not in f.active
+        }
+        outer = {
+            _primitive(
+                [den * c - sum(map(mul, row, v)) for c, row in zip(v, m)]
+            )
+            for v in rays
+        }
+        outer.discard((0,) * cone.dim)
+        cells.append((f.dim, sorted(inner), sorted(outer)))
+    return cells
+
+
 def _mc_profile(cone, samples, seed):
     # numpy is imported here, the only place that uses it, so that commands
     # which never sample do not pay its import time and memory
     import numpy as np
 
     n = cone.dim
-    faces = cone_faces(cone)
-    den = 1
-    for f in faces:
-        for row in f.proj:
-            den = lcm(den, common_denominator(row))
-    # past int64, the matrices are Python ints (object arrays); every
-    # chunk then takes the big-integer path below
-    dtype = np.int64 if den < _BIG else object
-    mats = []
-    diffs = []
-    for f in faces:
-        m = np.array(
-            [[int(c * den) for c in row] for row in f.proj], dtype=dtype
-        )
-        mats.append(m)
-        diffs.append(den * np.eye(n, dtype=dtype) - m)
-    ineq = (
-        np.array(cone.inequalities, dtype=np.int64)
-        if cone.inequalities
-        else None
+    cells = _cells(cone)
+    # |r . x| <= |r|_1 max|x|: a chunk whose bound reaches _BIG works in
+    # Python ints (object arrays), every other chunk in int64
+    wide = max(
+        (sum(map(abs, r)) for _, inner, outer in cells for r in inner + outer),
+        default=0,
     )
-    dims = np.array([f.dim for f in faces])
-    counts = np.zeros(n + 1, dtype=np.int64)
-    max_a = int(np.abs(ineq).max()) if ineq is not None else 1
 
+    arrays = {}
+    counts = np.zeros(n + 1, dtype=np.int64)
     done = 0
     chunk_index = 0
     while done < samples:
         cnt = min(CHUNK, samples - done)
         rng = np.random.default_rng([seed, chunk_index])
         x = rng.standard_normal((cnt, n))
-        ints = np.rint(x * _SCALE)
-        bound = int(np.abs(ints).max()) if cnt else 0
-        worst = n * (den * bound * (n + 1)) ** 2
-        worst = max(worst, n * n * max_a * den * bound)
-        ints = ints.astype(np.int64)
-        big = _BIG
-        if worst >= _BIG:
-            # exact squared distances would overflow; box to Python ints
-            # and grow the infeasibility sentinel past every real distance
-            ints = ints.astype(object)
-            big = worst + 1
-        dist_rows = []
-        for m, dmat in zip(mats, diffs):
-            q = ints @ m.T
-            if ineq is not None:
-                feasible = (q @ ineq.T >= 0).all(axis=1)
-            else:
-                feasible = np.ones(cnt, dtype=bool)
-            delta = ints @ dmat.T
-            dist = (delta * delta).sum(axis=1)
-            dist_rows.append(np.where(feasible, dist, big))
-        winner = np.stack(dist_rows).argmin(axis=0)
-        counts += np.bincount(dims[winner], minlength=n + 1)
+        ints = np.rint(x * _SCALE).astype(np.int64)
+        small = wide * max(int(np.abs(ints).max()), 1) < _BIG
+        dtype = np.int64 if small else object
+        if dtype not in arrays:
+            # a face with no test rows still needs an (0, n) matrix
+            arrays[dtype] = [
+                (dim, len(i), np.array(i + o, dtype).reshape(-1, n))
+                for dim, i, o in cells
+            ]
+        ints = ints.astype(dtype, copy=False)
+        hits = np.zeros(cnt, dtype=np.int64)
+        for dim, k, rows in arrays[dtype]:
+            y = ints @ rows.T
+            inside = (y[:, :k] > 0).all(axis=1) & (y[:, k:] <= 0).all(axis=1)
+            hits += inside
+            counts[dim] += np.count_nonzero(inside)
+        stray = int(np.count_nonzero(hits != 1))
+        if stray:
+            raise ProjectionMismatch(
+                f"{stray} of {cnt} samples lie in no Moreau cell or in "
+                "several: the face list is not the cone's"
+            )
         done += cnt
         chunk_index += 1
 
-    values = tuple(float(c) / samples for c in counts)
-    return values
+    return tuple(float(c) / samples for c in counts)
 
 
 def conic_intrinsic_volumes(
@@ -340,10 +315,15 @@ def conic_intrinsic_volumes(
     is set, from the angles between their extreme rays (Girard's theorem
     and McMullen's angle sums, see try_exact_profile); everything else
     falls to the seeded Monte Carlo path with a conservative 3-sigma
-    half-width of 1.5/sqrt(samples) per entry.
+    half-width of 1.5/sqrt(samples) per entry.  That path gives each
+    sample its face by exact sign tests on the face's Moreau cell (see
+    _cells), so the counts depend only on (samples, seed); the seed is a
+    non-negative integer, as numpy's seed sequences require.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"the seed must be non-negative, got {seed}")
     if not force_mc:
         exact = try_exact_profile(cone)
         if exact is not None:

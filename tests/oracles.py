@@ -35,14 +35,34 @@ cone faces moved to the covectors of the cone's rows in
 `projection_matrix_gram` (a row-reduced basis, its Gram matrix, then one
 solve per column), as `titskit.linalg.projection_matrix` was before it
 became one elimination of [B B^T | B].
+
+`project_to_cone` (the feasible face projection of least distance, with
+its optimality conditions checked exactly) and `mc_profile_nearest` (the
+same search for a chunk of dyadic samples at once, over one common
+denominator of every face projection) are the nearest-point classifier
+and the Monte Carlo kernel as they were before `titskit.intrinsic` gave
+each sample its face by sign tests on the faces' Moreau cells.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from titskit.geometry import Arrangement, Face, FaceSet, lineality_space
-from titskit.intrinsic import ConeFace
+from titskit import intrinsic
+from titskit.geometry import (
+    Arrangement,
+    Face,
+    FaceSet,
+    _cone_rays,
+    lineality_space,
+)
+from titskit.intrinsic import (
+    ConeFace,
+    ProjectionMismatch,
+    _complement,
+    cone_faces,
+)
 from titskit.lattice import (
     Flat,
     FlatLattice,
@@ -52,7 +72,14 @@ from titskit.lattice import (
     charpoly_under,
     support_closure,
 )
-from titskit.linalg import dot, matrix_rank, matvec, nullspace, rref
+from titskit.linalg import (
+    common_denominator,
+    dot,
+    matrix_rank,
+    matvec,
+    nullspace,
+    rref,
+)
 from titskit.lp import lp_feasible
 from titskit.tits import NotClosed, TitsElement, compose_signs
 
@@ -489,3 +516,115 @@ def implicit_equalities_lp(cone):
         if lp_feasible(n, equalities=eqs, weak_inequalities=probe) is None:
             out.add(i)
     return out
+
+
+def project_to_cone(cone, point, faces=None):
+    """Exact nearest point of the cone, with the face dimension it lies in.
+
+    The projection is the feasible candidate of minimal distance among the
+    orthogonal projections onto the spans of all faces; ties share the same
+    point and the largest active set names the face containing it in its
+    relative interior.  Before returning, ProjectionMismatch is raised
+    unless the point lies in the relative interior of that face, the
+    residual is orthogonal to the face's span, and the residual lies in the
+    normal cone at the point: orthogonal to the point and to the lineality
+    space, and nonpositive on every ray.
+    """
+    p = tuple(Fraction(c) for c in point)
+    if faces is None:
+        faces = cone_faces(cone)
+    best = None
+    for face in faces:
+        q = matvec(face.proj, p)
+        if any(dot(a, q) < 0 for a in cone.inequalities):
+            continue
+        dist = sum((a - b) ** 2 for a, b in zip(p, q))
+        if best is None or dist < best[0]:
+            best = (dist, face, q)
+    if best is None:
+        raise ProjectionMismatch("no face projects into the cone")
+    _, face, q = best
+    active = sorted(face.active)
+    zeros = [i for i, a in enumerate(cone.inequalities) if dot(a, q) == 0]
+    if zeros != active or any(dot(e, q) for e in cone.equalities):
+        raise ProjectionMismatch(
+            f"nearest point is not inside the face with active set {active}"
+        )
+    residual = tuple(a - b for a, b in zip(p, q))
+    if any(matvec(face.proj, residual)):
+        raise ProjectionMismatch("residual is not orthogonal to the face")
+    rows = list(cone.equalities) + list(cone.inequalities)
+    lineality, _ = _complement(rows, cone.dim)
+    if (
+        dot(residual, q)
+        or any(matvec(lineality, residual))
+        or any(dot(residual, v) > 0 for _, _, v in _cone_rays(cone))
+    ):
+        raise ProjectionMismatch("residual is not in the normal cone")
+    return q, face.dim
+
+
+def mc_profile_nearest(cone, samples, seed):
+    """`intrinsic._mc_profile` by nearest-point search: the same chunks of
+    dyadic samples, each given the feasible face projection of least
+    squared distance, ties to the largest active set.  The projections
+    share one common denominator; when it, or the squared distances, pass
+    int64 the chunk is computed in Python ints."""
+    import numpy as np
+
+    n = cone.dim
+    faces = cone_faces(cone)
+    den = 1
+    for f in faces:
+        for row in f.proj:
+            den = lcm(den, common_denominator(row))
+    dtype = np.int64 if den < intrinsic._BIG else object
+    mats = []
+    diffs = []
+    for f in faces:
+        m = np.array(
+            [[int(c * den) for c in row] for row in f.proj], dtype=dtype
+        )
+        mats.append(m)
+        diffs.append(den * np.eye(n, dtype=dtype) - m)
+    ineq = (
+        np.array(cone.inequalities, dtype=np.int64)
+        if cone.inequalities
+        else None
+    )
+    dims = np.array([f.dim for f in faces])
+    counts = np.zeros(n + 1, dtype=np.int64)
+    max_a = int(np.abs(ineq).max()) if ineq is not None else 1
+
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        cnt = min(intrinsic.CHUNK, samples - done)
+        rng = np.random.default_rng([seed, chunk_index])
+        x = rng.standard_normal((cnt, n))
+        ints = np.rint(x * intrinsic._SCALE)
+        bound = int(np.abs(ints).max()) if cnt else 0
+        worst = n * (den * bound * (n + 1)) ** 2
+        worst = max(worst, n * n * max_a * den * bound)
+        ints = ints.astype(np.int64)
+        big = intrinsic._BIG
+        if worst >= intrinsic._BIG:
+            # exact squared distances would overflow; box to Python ints
+            # and grow the infeasibility sentinel past every real distance
+            ints = ints.astype(object)
+            big = worst + 1
+        dist_rows = []
+        for m, dmat in zip(mats, diffs):
+            q = ints @ m.T
+            if ineq is not None:
+                feasible = (q @ ineq.T >= 0).all(axis=1)
+            else:
+                feasible = np.ones(cnt, dtype=bool)
+            delta = ints @ dmat.T
+            dist = (delta * delta).sum(axis=1)
+            dist_rows.append(np.where(feasible, dist, big))
+        winner = np.stack(dist_rows).argmin(axis=0)
+        counts += np.bincount(dims[winner], minlength=n + 1)
+        done += cnt
+        chunk_index += 1
+    return tuple(float(c) / samples for c in counts)

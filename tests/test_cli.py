@@ -202,8 +202,9 @@ def test_verify_all_empty_arrangement(tmp_path, capsys):
 
 
 def test_verify_all_with_a_112_bit_denominator(capsys):
-    # a chamber's face projections share a denominator past int64, so the
-    # Monte Carlo kernel works in Python ints
+    # a chamber's face projections share a denominator past int64, which
+    # put the nearest-point kernel in Python ints; each sign-test row is
+    # scaled on its own, so the kernel stays in int64 here
     code, rep = run_json(
         capsys,
         ["verify", "all", "--family", "generic", "--n", "4", "--m", "5",
@@ -277,6 +278,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "--hyperplane", "0"],
         ["verify", "all", "--family", "braid", "--n", "4", "--samples", "0"],
         ["intrinsic", "--family", "braid", "--n", "3", "--samples", "-5"],
+        ["intrinsic", "--family", "coordinate", "--n", "4", "--seed", "-1"],
+        ["intrinsic", "--family", "braid", "--n", "4", "--seed", "-1"],
+        ["charpoly", "--family", "generic", "--n", "2", "--m", "3",
+         "--seed", "-1"],
         ["verify", "kung", "--family", "braid", "--n", "3", "--s", "abc"],
         ["verify", "kung", "--family", "braid", "--n", "3", "--s", "1/0"],
         ["verify", "kung", "--family", "braid", "--n", "3", "--t", "x/2"],

@@ -1,18 +1,20 @@
-"""Differential tests: cone faces, implicit equalities and projections from
-the covectors of the cone's rows, against the LP versions in `oracles`, on
-random small cones and on recession cones of random arrangements."""
+"""Differential tests: cone faces and implicit equalities from the covectors
+of the cone's rows, and the nearest-point classifier on those faces,
+against the LP versions in `oracles`, on random small cones and on
+recession cones of random arrangements."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titskit.geometry import HomogeneousCone, enumerate_faces, recession_cone
-from titskit.intrinsic import cone_faces, project_to_cone
+from titskit.intrinsic import cone_faces
 from titskit.linalg import projection_matrix
 
 from oracles import (
     cone_faces_lp,
     implicit_equalities_lp,
+    project_to_cone,
     project_to_cone_lp,
     projection_matrix_gram,
 )

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from titskit.intrinsic import (
     face_intrinsic_volumes,
     intrinsic_element,
     klivans_swartz_charpoly,
-    project_to_cone,
     try_exact_profile,
     verify_intrinsic_product,
 )
@@ -31,6 +31,7 @@ from titskit.tits import (
 )
 
 from conftest import get_trio
+from oracles import mc_profile_nearest, project_to_cone
 from test_cone_oracle import KINDS, cones
 
 QUADRANT = HomogeneousCone(dim=2, equalities=(), inequalities=((1, 0), (0, 1)))
@@ -296,8 +297,9 @@ def test_monte_carlo_agrees_with_exact():
 
 
 def test_monte_carlo_big_denominator_fallback():
-    # steep normal forces the integer bound past the int64 budget, taking
-    # the arbitrary-precision path
+    # the steep normal's face projections share a 34-bit denominator, past
+    # the nearest-point kernel's int64 budget; the primitive sign-test rows
+    # stay in int64 (WIDE below takes Python ints)
     steep = HomogeneousCone(
         dim=2, equalities=(), inequalities=((100000, 1),)
     )
@@ -309,42 +311,85 @@ def test_monte_carlo_big_denominator_fallback():
         assert abs(a - b) <= 0.05
 
 
-def _mc_den(cone):
-    den = 1
-    for f in cone_faces(cone):
-        for row in f.proj:
-            den = math.lcm(den, common_denominator(row))
-    return den
+def _row_bound(cone):
+    """The largest L1 norm of the sign-test rows of the cone's cells."""
+    return max(
+        (
+            sum(map(abs, r))
+            for _, inner, outer in intrinsic._cells(cone)
+            for r in inner + outer
+        ),
+        default=0,
+    )
+
+
+_rng = random.Random(5)
+# projected onto its faces' spans, its rows have entries of up to 145 bits
+WIDE = HomogeneousCone(
+    4,
+    (),
+    tuple(
+        tuple(_rng.randint(-(10**5), 10**5) for _ in range(4))
+        for _ in range(5)
+    ),
+)
 
 
 @pytest.mark.parametrize(
-    "arr, chamber, path",
+    "cone, path",
     [
-        # den 1: int64 matrices and samples
-        (coordinate_arrangement(4), (1,) * 4, "int64"),
-        # den of 17 bits: int64 matrices, Python-int samples
-        (generic_arrangement(3, 4, seed=11), (-1,) * 4, "big samples"),
-        # den of 112 bits: Python-int matrices
-        (generic_arrangement(4, 5, seed=2), (-1,) * 5, "big matrices"),
+        (recession_cone(coordinate_arrangement(4), (1,) * 4), "int64"),
+        (
+            recession_cone(generic_arrangement(3, 4, seed=11), (-1,) * 4),
+            "int64",
+        ),
+        (
+            recession_cone(generic_arrangement(4, 5, seed=2), (-1,) * 5),
+            "int64",
+        ),
+        (WIDE, "python-int"),
     ],
-    ids=["int64", "big-samples", "big-matrices"],
+    # the first three ids name the path of the nearest-point kernel
+    # (oracles.mc_profile_nearest), whose common denominator of every face
+    # projection was 1, 17 bits and 112 bits on these cones
+    ids=["int64", "big-samples", "big-matrices", "wide-rows"],
 )
-def test_mc_kernel_matches_exact_classifier(arr, chamber, path):
+def test_mc_kernel_matches_exact_classifier(cone, path):
     # _mc_profile classifies the first chunk's dyadic points exactly as
-    # project_to_cone does, on each of its three arithmetic paths
-    cone = recession_cone(arr, chamber)
-    den = _mc_den(cone)
-    assert (den >= intrinsic._BIG) == (path == "big matrices")
-    assert (den > 1) == (path != "int64")
+    # project_to_cone and the nearest-point kernel do, on both of its
+    # arithmetic paths: int64 while no row's L1 norm times max|x| reaches
+    # _BIG, Python ints past that
     k, seed = 300, 7
     x = np.random.default_rng([seed, 0]).standard_normal((k, cone.dim))
     points = np.rint(x * intrinsic._SCALE).astype(int).tolist()
+    bound = max(abs(c) for p in points for c in p)
+    big = _row_bound(cone) * bound >= intrinsic._BIG
+    assert big == (path == "python-int")
     faces = cone_faces(cone)
     counts = [0] * (cone.dim + 1)
     for p in points:
         counts[project_to_cone(cone, p, faces)[1]] += 1
     expected = tuple(float(c) / k for c in counts)
     assert intrinsic._mc_profile(cone, k, seed) == expected
+    assert mc_profile_nearest(cone, k, seed) == expected
+
+
+def test_mc_partition_is_checked(monkeypatch):
+    # without the apex, the samples of its Moreau cell (the negative
+    # quadrant) lie in no cell; the check is no assert, so python -O keeps it
+    monkeypatch.setattr(
+        intrinsic, "cone_faces", lambda cone: cone_faces(cone)[1:]
+    )
+    with pytest.raises(ProjectionMismatch, match="no Moreau cell"):
+        intrinsic._mc_profile(QUADRANT, 1000, 0)
+
+
+def test_negative_seed_is_rejected():
+    # numpy's seed sequences take no negative entropy; a cone that would
+    # be exact is rejected too
+    for force_mc in (False, True):
+        with pytest.raises(ValueError, match="non-negative"):
+            conic_intrinsic_volumes(QUADRANT, seed=-1, force_mc=force_mc)
 
 
 def test_projections_computed_once_per_flat(monkeypatch):
