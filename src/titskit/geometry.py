@@ -355,9 +355,9 @@ def _line(row):
 
 @lru_cache(maxsize=256)
 def _line_cocircuits(lines):
-    """Cocircuit vectors, in both orientations, of the configuration of a
-    sorted tuple of distinct lines."""
-    return tuple(v for _, _, v in _cocircuits(list(lines)))
+    """Cocircuits, in both orientations, of the configuration of a sorted
+    tuple of distinct lines, with masks over the lines."""
+    return tuple(_cocircuits(list(lines)))
 
 
 def _cone_rays(cone):
@@ -367,21 +367,26 @@ def _cone_rays(cone):
     -.  Their closure under composition (_covectors) is one covector per
     face, the sign vector of its relative interior.  The cocircuit vectors
     depend only on the lines the rows span, so all recession cones of one
-    arrangement share one cocircuit search.  A zero row is 0 on every
-    point, so it is active on every face; it stays out of that search,
-    whose cuts need a row that is not orthogonal to the basis.
+    arrangement share one cocircuit search.  Over those lines the cone is
+    one sign vector, 0 on a line that carries an equality or inequalities
+    of both signs, and its rays are the line cocircuits conformally below
+    it (_below).  A zero row is 0 on every point, so it is active on every
+    face; it stays out of that search, whose cuts need a row that is not
+    orthogonal to the basis.
     """
     rows = list(cone.equalities) + list(cone.inequalities)
-    lines = sorted({_line(row) for row in rows if any(row)})
-    if not lines:
-        return []
-    eq_mask = (1 << len(cone.equalities)) - 1
-    rays = []
-    for v in _line_cocircuits(tuple(lines)):
-        p, q = _sign_masks(rows, v)
-        if not (q or p & eq_mask):
-            rays.append((p, q, v))
-    return rays
+    n_eq = len(cone.equalities)
+    signs = {}
+    for j, row in enumerate(rows):
+        if any(row):
+            line = _line(row)
+            s = 0 if j < n_eq else 1 if _idot(row, line) > 0 else -1
+            signs[line] = s if signs.get(line, s) == s else 0
+    lines = sorted(signs)
+    pos = sum(1 << k for k, line in enumerate(lines) if signs[line] > 0)
+    neg = sum(1 << k for k, line in enumerate(lines) if signs[line] < 0)
+    below = _below(_line_cocircuits(tuple(lines)), pos, neg) if lines else []
+    return [_sign_masks(rows, v) + (v,) for _, _, v in below]
 
 
 def _below(cocircuits, p, q):

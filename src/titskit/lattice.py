@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, itemgetter
 from types import MappingProxyType
 
 from .geometry import Arrangement, ArrangementMismatch, FaceSet, _bits
@@ -203,8 +203,14 @@ class SubarrangementMap:
     indices: tuple
     target: object
 
+    def __post_init__(self):
+        # a slice keeps one index or none a tuple, which itemgetter would not
+        i = self.indices
+        keys = i if len(i) > 1 else [slice(i[0], i[0] + 1) if i else slice(0)]
+        object.__setattr__(self, "_restrict", itemgetter(*keys))
+
     def __call__(self, signs):
-        return tuple(signs[i] for i in self.indices)
+        return self._restrict(signs)
 
 
 def subarrangement_map(arr, indices):
@@ -224,25 +230,20 @@ def subarrangement_map(arr, indices):
 
 
 def deletion_lattice(arr, lattice, h):
-    """Flat lattice of the arrangement with hyperplane h removed.
+    """Restriction map dropping hyperplane h, and the deletion's lattice.
 
     The covectors of a deletion are the restrictions of the covectors of
-    the full arrangement, so the faces of the deletion are the faces of
-    `lattice.face_support` with entry h dropped.  A face of the deletion
-    is a union of faces of the full arrangement, and its flat has the
-    largest dimension among their flats.  This avoids re-running face
-    enumeration.  Returns (deleted_arrangement, its_lattice).
+    the full arrangement, so the faces of the deletion are the images of
+    the faces of `lattice.face_support` under the map.  A face of the
+    deletion is a union of faces of the full arrangement, and its flat has
+    the largest dimension among their flats.  This avoids re-running face
+    enumeration.  Returns (map, lattice); map.target is the deletion.
     """
     if not 0 <= h < arr.m:
         raise IndexOutOfRange(f"hyperplane index {h} out of range")
-    sub = Arrangement(
-        dim=arr.dim,
-        hyperplanes=tuple(arr.hyperplanes[:h] + arr.hyperplanes[h + 1:]),
-        kind="custom",
-        params={"deleted": h, "from": arr.kind},
-    )
+    fmap = subarrangement_map(arr, [i for i in range(arr.m) if i != h])
     dims = (
-        (signs[:h] + signs[h + 1:], lattice.flat(x).dim)
+        (fmap(signs), lattice.flat(x).dim)
         for signs, x in lattice.face_support.items()
     )
-    return sub, _lattice(sub, dims)
+    return fmap, _lattice(fmap.target, dims)

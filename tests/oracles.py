@@ -12,6 +12,13 @@ dimension of the lineality space; they are kept as they were before the
 flat lattice was built from the zero sets and dimensions of the faces in
 `titskit.lattice`.
 
+`verify_deletion_restriction_two_maps` is the deletion-restriction check
+as it was before the deletion was built through one restriction map: it
+slices entry h off every face for the deletion's lattice, builds a second
+deleted arrangement through `subarrangement_map` to push the Takeuchi
+and unit elements forward, reads the image's chambers as the sign vectors
+with no zero, and returns early when the deletion drops the rank.
+
 `mobius_table` (one `leq` scan per pair of flats) and `validate_graded`
 (a cover found by scanning every flat between a pair) are the Mobius
 function and gradedness check as they were before `FlatLattice` read both
@@ -50,6 +57,7 @@ from fractions import Fraction
 from math import lcm
 
 from titskit import intrinsic
+from titskit.elements import DeletionReport
 from titskit.geometry import (
     Arrangement,
     Face,
@@ -68,8 +76,10 @@ from titskit.lattice import (
     FlatLattice,
     IndexOutOfRange,
     UngradedLattice,
+    _lattice,
     charpoly_over,
     charpoly_under,
+    subarrangement_map,
     support_closure,
 )
 from titskit.linalg import (
@@ -81,7 +91,16 @@ from titskit.linalg import (
     rref,
 )
 from titskit.lp import lp_feasible
-from titskit.tits import NotClosed, TitsElement, compose_signs
+from titskit.tits import (
+    NotClosed,
+    TitsElement,
+    chamber_sum,
+    compose_signs,
+    pushforward,
+    support_sum,
+    takeuchi_element,
+    unit_element,
+)
 
 
 def _reduce_basis(basis, rates):
@@ -282,6 +301,57 @@ def deletion_lattice_rank(arr, lattice, h):
     d = len(lineality_space(sub))
     flats = _flats_from_closures(sub, closures, d)
     return sub, FlatLattice(sub, flats)
+
+
+def verify_deletion_restriction_two_maps(arr, faces, lattice, h):
+    """chi(A) = chi(A minus H) - chi(A restricted to H), and the transport
+    of the Takeuchi and unit elements along the deletion map."""
+    flat_h = lattice.index_of(frozenset({h}))
+    chi_full = lattice.charpoly()
+    chi_under = charpoly_under(lattice, flat_h)
+    sub = Arrangement(
+        dim=arr.dim,
+        hyperplanes=tuple(arr.hyperplanes[:h] + arr.hyperplanes[h + 1:]),
+        kind="custom",
+        params={"deleted": h, "from": arr.kind},
+    )
+    dlat = _lattice(sub, (
+        (signs[:h] + signs[h + 1:], lattice.flat(x).dim)
+        for signs, x in lattice.face_support.items()
+    ))
+    chi_del = dlat.charpoly()
+    if dlat.rank_top() != lattice.rank_top():
+        return DeletionReport(
+            hyperplane=h,
+            rank_ok=False,
+            chi_full=chi_full,
+            chi_deleted=chi_del,
+            chi_restriction=chi_under,
+            identity_ok=False,
+            transport_ok=False,
+        )
+    identity_ok = chi_full == chi_del - chi_under
+
+    fmap = subarrangement_map(arr, [i for i in range(arr.m) if i != h])
+    transport_ok = True
+    for w, t in ((takeuchi_element(faces), Fraction(-1)),
+                 (unit_element(faces), Fraction(1))):
+        image = pushforward(fmap, w)
+        image_chambers = sum(
+            (c for signs, c in image.coeffs.items() if all(signs)), Fraction(0)
+        )
+        lhs = chamber_sum(lattice, w) + support_sum(lattice, w, flat_h)
+        transport_ok = transport_ok and image_chambers == lhs
+        transport_ok = transport_ok and image_chambers == chi_del(t)
+    return DeletionReport(
+        hyperplane=h,
+        rank_ok=True,
+        chi_full=chi_full,
+        chi_deleted=chi_del,
+        chi_restriction=chi_under,
+        identity_ok=identity_ok,
+        transport_ok=transport_ok,
+    )
 
 
 def _leq(flats, y, x):

@@ -79,6 +79,11 @@ def test_generic_arrangement_reproducible_and_general():
     assert c.m == 4 and c.dim == 3
 
 
+def test_generic_arrangement_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        generic_arrangement(3, 4, seed=-11)
+
+
 def test_generic_arrangement_gives_up():
     with pytest.raises(GenericDegenerate):
         generic_arrangement(2, 3, seed=0, max_tries=0)

@@ -178,12 +178,23 @@ def test_subarrangement_morphism():
             )
 
 
+def test_subarrangement_map_edge_cases():
+    arr, faces, _ = get_trio("braid3")
+    for f in faces.sign_vectors():
+        assert subarrangement_map(arr, [])(f) == ()
+        assert subarrangement_map(arr, [1])(f) == (f[1],)
+        assert subarrangement_map(arr, [2, 0, 1])(f) == (f[2], f[0], f[1])
+    fmap = subarrangement_map(arr, [2, 0])
+    assert fmap.target.hyperplanes == (arr.hyperplanes[2], arr.hyperplanes[0])
+    assert subarrangement_map(arr, []).target.m == 0
+
+
 def test_deletion_lattice_matches_rebuild():
     for name in ["braid3", "triangle", "parallel+", "signed2"]:
         arr, faces, lat = get_trio(name)
         for h in range(arr.m):
-            sub, dlat = deletion_lattice(arr, lat, h)
-            rebuilt = build_lattice(sub, enumerate_faces(sub))
+            fmap, dlat = deletion_lattice(arr, lat, h)
+            rebuilt = build_lattice(fmap.target, enumerate_faces(fmap.target))
             assert {f.closure for f in dlat.flats} == {
                 f.closure for f in rebuilt.flats
             }

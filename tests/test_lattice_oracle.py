@@ -3,14 +3,17 @@ dimensions of the faces against the rank-based construction in `oracles`,
 its order, joins and Mobius function against the cubic scans there, and
 its characters against a scan of the element per flat, for the full
 arrangement and for every deletion, on random small rational arrangements
-of each kind."""
+of each kind; and the deletion-restriction check through one restriction
+map against the two-map check in `oracles`, for every hyperplane."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from titskit.elements import verify_deletion_restriction
 from titskit.geometry import enumerate_faces
 from titskit.lattice import FlatLattice, build_lattice, deletion_lattice
 from titskit.tits import is_characteristic, takeuchi_element, unit_element
@@ -21,6 +24,7 @@ from oracles import (
     deletion_lattice_rank,
     mobius_table,
     validate_graded,
+    verify_deletion_restriction_two_maps,
 )
 from test_enumeration_oracle import KINDS, arrangements
 
@@ -73,7 +77,8 @@ def test_lattice_matches_rank_oracle(kind, data):
         arr, lat.flats, dict(reversed(lat.face_support.items()))
     )
     for h in range(arr.m):
-        sub, dlat = deletion_lattice(arr, lat, h)
+        fmap, dlat = deletion_lattice(arr, lat, h)
+        sub = fmap.target
         oracle_sub, oracle_dlat = deletion_lattice_rank(arr, oracle, h)
         assert sub.hyperplanes == oracle_sub.hyperplanes
         sub_faces = enumerate_faces(sub)
@@ -81,3 +86,23 @@ def test_lattice_matches_rank_oracle(kind, data):
         rebuilt = build_lattice(sub, sub_faces)
         assert dlat.face_support == rebuilt.face_support
         assert deletion_lattice(arr, reordered, h)[1].flats == dlat.flats
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_deletion_restriction_matches_two_map_oracle(kind, data):
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    oracle = build_lattice_rank(arr, faces)
+    for h in range(arr.m):
+        rep = verify_deletion_restriction(arr, faces, lat, h)
+        old = verify_deletion_restriction_two_maps(arr, faces, lat, h)
+        for field in fields(rep):
+            assert getattr(rep, field.name) == getattr(old, field.name)
+        assert rep.ok == old.ok
+        fmap, _ = deletion_lattice(arr, lat, h)
+        assert fmap.indices == tuple(i for i in range(arr.m) if i != h)
+        assert (fmap.target.hyperplanes
+                == deletion_lattice_rank(arr, oracle, h)[0].hyperplanes)
