@@ -315,9 +315,11 @@ def verify_kung(lattice, s, t):
         (t ** lattice.flat(x).rank * under_s[x] * over_t[x] for x in flats),
         Fraction(0),
     )
+    # grouped by x; x join y is the top when top is their only upper bound
+    ups = [lattice.above_mask(x) for x in flats]
+    top = 1 << lattice.top
     pair_sum = Fraction(0)
     for x in flats:
-        for y in flats:
-            if lattice.join(x, y) == lattice.top:
-                pair_sum += under_s[x] * under_t[y]
+        joined = (under_t[y] for y in flats if ups[x] & ups[y] == top)
+        pair_sum += under_s[x] * sum(joined, Fraction(0))
     return KungReport(s=s, t=t, lhs=lhs, flat_sum=flat_sum, pair_sum=pair_sum)

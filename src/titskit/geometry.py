@@ -112,12 +112,13 @@ class Arrangement:
 
     def fingerprint(self):
         """Stable short hash of the canonical hyperplane data."""
-        # imported here: hashlib maps OpenSSL, about 3.5 MiB of resident
-        # memory that importing titskit need not pay
-        import hashlib
+        try:  # the interpreter's own SHA-256: hashlib maps OpenSSL, about
+            from _sha256 import sha256  # 3.6 MiB resident, for one digest
+        except ImportError:  # CPython 3.12 renamed the module _sha2
+            from hashlib import sha256
 
         blob = json.dumps(arrangement_to_json(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
 
 def make_arrangement(dim, rows, kind="custom", params=None):

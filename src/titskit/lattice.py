@@ -21,7 +21,7 @@ from operator import and_, itemgetter
 from types import MappingProxyType
 
 from .geometry import Arrangement, ArrangementMismatch, FaceSet, _bits
-from .scalars import Poly, T
+from .scalars import Poly
 
 
 class NotComparable(ValueError):
@@ -182,17 +182,20 @@ def charpoly_under(lattice, x):
     this matches the convention in which the interval below x is never
     re-embedded in the subspace x.
     """
-    return sum((lattice.mobius(y, x) * T ** lattice.flat(y).rank
-                for y in lattice.below(x)), Poly())
+    coeffs = [0] * (lattice.flat(x).rank + 1)
+    for y in lattice.below(x):
+        coeffs[lattice.flats[y].rank] += lattice._mobius[y][x]
+    return Poly(coeffs)
 
 
 def charpoly_over(lattice, x):
     """chi of the localization at flat x, on the interval above x:
     sum_{Y >= x} mu(Y, top) t^(rank(Y) - rank(x))."""
     rx = lattice.flat(x).rank
-    top = lattice.top
-    return sum((lattice.mobius(y, top) * T ** (lattice.flat(y).rank - rx)
-                for y in lattice.above(x)), Poly())
+    coeffs = [0] * (lattice.rank_top() - rx + 1)
+    for y in lattice.above(x):
+        coeffs[lattice.flats[y].rank - rx] += lattice._mobius[y][lattice.top]
+    return Poly(coeffs)
 
 
 @dataclass(frozen=True)

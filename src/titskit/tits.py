@@ -13,10 +13,22 @@ localization at Z.  There is one push per distinct zero set of w, at most
 one per flat, and each is taken from the smallest push already made for a
 superset of Z (restricting twice is restricting once), or from v.  Inside
 the product a sign vector is one int, bit j for + and bit m + j for -, so
-restriction to Z is a mask and composition is `|`.  The work is the size
-of the pushes plus sum_F |pi_Z(v)|, not |w| |v|; float products can differ
-from the pairwise sum in the last bits, since the order of addition
-changes.
+restriction to Z is a mask and composition is `|`; each packed result
+maps back to the face set's own sign vector.  The work is the size of the
+pushes plus sum_F |pi_Z(v)|, not |w| |v|; float products can differ from
+the pairwise sum in the last bits, since the order of addition changes.
+
+The product, the pushforward and the support sums add rational
+coefficients as integer numerators over one common denominator and divide
+each result back to one Fraction; Poly and float ones take the same loops.
+
+The flat algebra, H_X H_Y = H_{X join Y}, is the support image of the Tits
+algebra and is star-factored alike: H_x pushes v to sum_y c_y H_{x join y},
+keyed by the above-set of the join, the intersection of the two above-sets.
+Each push starts from one made at a flat below x (x' <= x gives x join y =
+x join (x' join y)) or from v.  A push that cancels does so at every flat
+above x too, and those are skipped; for Q_X Q_Y nearly every push cancels,
+as H_Z Q_Y = 0 unless Z <= Y.
 
 Characters are indexed by flats: chi_X(w) adds w's support sums, taken in
 one pass over w, over the flats below X.  An element is characteristic for
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import ArrangementMismatch, NotAFace, signs_to_str
 from .scalars import Poly, format_scalar, scalar_kind
@@ -40,10 +53,6 @@ class NotClosed(ValueError):
     """A Tits product whose sign vector is missing from the face set."""
 
 
-def _is_zero(c):
-    return c.is_zero() if isinstance(c, Poly) else c == 0
-
-
 class TitsElement:
     """Sparse element of the Tits algebra of one arrangement."""
 
@@ -51,9 +60,7 @@ class TitsElement:
 
     def __init__(self, arr, coeffs):
         self.arr = arr
-        self.coeffs = {
-            tuple(signs): c for signs, c in coeffs.items() if not _is_zero(c)
-        }
+        self.coeffs = {tuple(signs): c for signs, c in coeffs.items() if c}
 
     @property
     def kind(self):
@@ -143,8 +150,32 @@ def _pack(signs, m):
     return key
 
 
-def _unpack(key, m):
-    return tuple((key >> j & 1) - (key >> (m + j) & 1) for j in range(m))
+def _faces_by_key(faces):
+    """The face set's own sign vectors by packed key, built on first use."""
+    index = getattr(faces, "_by_key", None)
+    if index is None:
+        m = faces.arr.m
+        index = faces._by_key = {_pack(s, m): s for s in faces.sign_vectors()}
+    return index
+
+
+def _numerators(*coeffs):
+    """Rational coefficient dicts as integer numerators over one common
+    denominator: (den, dicts).  With a Poly or float coefficient anywhere
+    the dicts come back as they are, and den is None."""
+    values = [c for cs in coeffs for c in cs.values()]
+    if not all(isinstance(c, (int, Fraction)) for c in values):
+        return None, coeffs
+    den = lcm(*(c.denominator for c in values))
+    return den, [{k: c.numerator * (den // c.denominator)
+                  for k, c in cs.items()} for cs in coeffs]
+
+
+def _divided(sums, den):
+    """Sums of numerators back to one Fraction each; other sums as they are."""
+    if den is None:
+        return sums
+    return {k: Fraction(n, den) for k, n in sums.items()}
 
 
 def multiply(faces, w, v):
@@ -157,13 +188,14 @@ def multiply(faces, w, v):
         raise ScalarMismatch(f"cannot multiply {kw} element by {kv} element")
     m = faces.arr.m
     full = (1 << m) - 1
+    den, (wc, vc) = _numerators(w.coeffs, v.coeffs)
     terms = []
-    for signs, c in w.coeffs.items():
+    for signs, c in wc.items():
         f = _pack(signs, m)
         z = full & ~(f | f >> m)  # F's zero set, masked on both halves
         terms.append((f, z | z << m, c))
     pushes = {}
-    source = [(_pack(signs, m), c) for signs, c in v.coeffs.items()]
+    source = [(_pack(signs, m), c) for signs, c in vc.items()]
     # larger zero sets first, so each push can start from a coarser one
     for z in sorted(dict.fromkeys(z for _, z, _ in terms), key=int.bit_count,
                     reverse=True):
@@ -171,25 +203,32 @@ def multiply(faces, w, v):
         push = {}
         for g, c in min(coarser, key=len, default=source):
             push[g & z] = push.get(g & z, 0) + c
-        pushes[z] = [(g, c) for g, c in push.items() if not _is_zero(c)]
+        pushes[z] = [(g, c) for g, c in push.items() if c]
     out = {}
     for f, z, cf in terms:
         for g, c in pushes[z]:
             out[f | g] = out.get(f | g, 0) + cf * c
-    result = TitsElement(faces.arr, {_unpack(k, m): c for k, c in out.items()})
-    for s in result.coeffs:
-        if s not in faces:
-            raise NotClosed(f"{signs_to_str(s)} is missing from the face set")
-    return result
+    by_key = _faces_by_key(faces)
+    coeffs = {}
+    for k, c in out.items():
+        if not c:
+            continue
+        if k not in by_key:
+            signs = tuple((k >> j & 1) - (k >> (m + j) & 1) for j in range(m))
+            raise NotClosed(f"{signs_to_str(signs)} is missing from the face set")
+        coeffs[by_key[k]] = c
+    # a product of two numerators sits over den squared
+    return TitsElement(faces.arr, _divided(coeffs, den and den * den))
 
 
 def _support_sums(lattice, w):
     """Total coefficient of the faces supported at each flat, in one pass."""
+    den, (coeffs,) = _numerators(w.coeffs)
     sums = {}
-    for signs, c in w.coeffs.items():
+    for signs, c in coeffs.items():
         x = lattice.face_support[signs]
         sums[x] = sums.get(x, 0) + c
-    return sums
+    return _divided(sums, den)
 
 
 def _character(lattice, sums, x):
@@ -240,7 +279,7 @@ def is_characteristic(lattice, w, t, tol=None):
         lhs = _character(lattice, sums, x)
         rhs = powers[lattice.flat(x).rank]
         dev = 0 if lhs == rhs else _magnitude(lhs - rhs)
-        entries.append((x, lhs, rhs, dev))
+        entries.append((x, lhs if dev else rhs, rhs, dev))  # share a match
     ok = all(e[3] == 0 if tol is None else e[3] <= tol for e in entries)
     return CharacteristicReport(parameter=t, ok=ok, entries=tuple(entries))
 
@@ -276,30 +315,41 @@ def q_basis(lattice):
 
 
 def flat_multiply(lattice, u, v):
-    """Product in the flat algebra: H_X H_Y = H_{X join Y}, extended
-    bilinearly; the join is the lowest common bit of the above-sets."""
-    right = [(lattice.above_mask(y), cy) for y, cy in v.items() if cy != 0]
+    """H_X H_Y = H_{X join Y}, bilinearly: one push of v per flat of u (see
+    the module docstring).  A nonzero coefficient at a missing flat raises
+    IndexOutOfRange; a zero one is skipped."""
+    source = [(lattice.above_mask(y), c) for y, c in v.items() if c != 0]
+    pushes = []  # (above-set of x, push of v at x), x increasing
+    dead = 0  # the flats above a flat whose push cancelled
     out = {}
-    for x, cx in u.items():
-        if cx == 0:
+    for x, cx in sorted(u.items()):
+        if cx == 0 or x >= 0 and dead >> x & 1:
             continue
         up = lattice.above_mask(x)
-        for uy, cy in right:
-            common = up & uy
-            k = (common & -common).bit_length() - 1
-            out[k] = out.get(k, 0) + cx * cy
-    return {k: c for k, c in out.items() if c != 0}
+        base = next((p for ux, p in reversed(pushes) if ux >> x & 1), source)
+        push = {}
+        for key, c in base:
+            push[up & key] = push.get(up & key, 0) + c
+        push = [(key, c) for key, c in push.items() if c != 0]
+        if not push:
+            dead |= up
+            continue
+        pushes.append((up, push))
+        for key, c in push:
+            out[key] = out.get(key, 0) + cx * c
+    return {(k & -k).bit_length() - 1: c for k, c in out.items() if c != 0}
 
 
 def pushforward(fmap, w):
     """Image of an element under a subarrangement restriction map."""
     if w.arr is not fmap.source:
         raise ArrangementMismatch("the element is not on the map's source")
+    den, (coeffs,) = _numerators(w.coeffs)
     out = {}
-    for signs, c in w.coeffs.items():
+    for signs, c in coeffs.items():
         key = fmap(signs)
         out[key] = out.get(key, 0) + c
-    return TitsElement(fmap.target, out)
+    return TitsElement(fmap.target, _divided(out, den))
 
 
 def element_to_json(w):

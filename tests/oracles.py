@@ -32,7 +32,12 @@ faces, as before the product was star-factored in `titskit.tits`;
 `flat_multiply_pairs` (one `join` per pair of flats) and `kung_pairs`
 (each flat's polynomials evaluated inside the pair loop) are the flat
 algebra product and Kung's identity as they were before they read each
-operand's above-set and each evaluation once.
+operand's above-set and each evaluation once.  `charpoly_under_sum` and
+`charpoly_over_sum` (a `Poly` sum of mu t^k over the interval) and
+`pushforward_sum` (each image coefficient a running sum of the scalars)
+are kept as they were before `titskit.lattice` read the polynomials as
+integer coefficient lists and `titskit.tits` summed rational
+coefficients as integer numerators over one common denominator.
 
 `cone_faces_lp` (one LP per subset of inequalities), `implicit_equalities_lp`
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
@@ -60,6 +65,7 @@ from titskit import intrinsic
 from titskit.elements import DeletionReport
 from titskit.geometry import (
     Arrangement,
+    ArrangementMismatch,
     Face,
     FaceSet,
     _cone_rays,
@@ -77,8 +83,6 @@ from titskit.lattice import (
     IndexOutOfRange,
     UngradedLattice,
     _lattice,
-    charpoly_over,
-    charpoly_under,
     subarrangement_map,
     support_closure,
 )
@@ -91,12 +95,12 @@ from titskit.linalg import (
     rref,
 )
 from titskit.lp import lp_feasible
+from titskit.scalars import Poly, T
 from titskit.tits import (
     NotClosed,
     TitsElement,
     chamber_sum,
     compose_signs,
-    pushforward,
     support_sum,
     takeuchi_element,
     unit_element,
@@ -308,7 +312,7 @@ def verify_deletion_restriction_two_maps(arr, faces, lattice, h):
     of the Takeuchi and unit elements along the deletion map."""
     flat_h = lattice.index_of(frozenset({h}))
     chi_full = lattice.charpoly()
-    chi_under = charpoly_under(lattice, flat_h)
+    chi_under = charpoly_under_sum(lattice, flat_h)
     sub = Arrangement(
         dim=arr.dim,
         hyperplanes=tuple(arr.hyperplanes[:h] + arr.hyperplanes[h + 1:]),
@@ -336,7 +340,7 @@ def verify_deletion_restriction_two_maps(arr, faces, lattice, h):
     transport_ok = True
     for w, t in ((takeuchi_element(faces), Fraction(-1)),
                  (unit_element(faces), Fraction(1))):
-        image = pushforward(fmap, w)
+        image = pushforward_sum(fmap, w)
         image_chambers = sum(
             (c for signs, c in image.coeffs.items() if all(signs)), Fraction(0)
         )
@@ -436,14 +440,41 @@ def flat_multiply_pairs(lattice, u, v):
     return {k: c for k, c in out.items() if c != 0}
 
 
+def charpoly_under_sum(lattice, x):
+    """sum_{Y <= x} mu(Y, x) t^rank(Y), as a sum of polynomials."""
+    return sum((lattice.mobius(y, x) * T ** lattice.flat(y).rank
+                for y in lattice.below(x)), Poly())
+
+
+def charpoly_over_sum(lattice, x):
+    """sum_{Y >= x} mu(Y, top) t^(rank(Y) - rank(x)), as a sum of
+    polynomials."""
+    rx = lattice.flat(x).rank
+    top = lattice.top
+    return sum((lattice.mobius(y, top) * T ** (lattice.flat(y).rank - rx)
+                for y in lattice.above(x)), Poly())
+
+
+def pushforward_sum(fmap, w):
+    """Image of an element under a subarrangement restriction map, each
+    coefficient a running sum of the element's scalars."""
+    if w.arr is not fmap.source:
+        raise ArrangementMismatch("the element is not on the map's source")
+    out = {}
+    for signs, c in w.coeffs.items():
+        key = fmap(signs)
+        out[key] = out.get(key, 0) + c
+    return TitsElement(fmap.target, out)
+
+
 def kung_pairs(lattice, s, t):
     """(chi(st), the sum over flats, the sum over pairs joining to the top)
     of Kung's identity, evaluating the polynomials inside the loops."""
     s = Fraction(s)
     t = Fraction(t)
     flats = range(len(lattice))
-    under = {x: charpoly_under(lattice, x) for x in flats}
-    over = {x: charpoly_over(lattice, x) for x in flats}
+    under = {x: charpoly_under_sum(lattice, x) for x in flats}
+    over = {x: charpoly_over_sum(lattice, x) for x in flats}
     flat_sum = sum(
         (t ** lattice.flat(x).rank * under[x](s) * over[x](t) for x in flats),
         Fraction(0),

@@ -65,6 +65,17 @@ def test_fingerprint_is_stable(capsys):
     assert c["fingerprint"] != a["fingerprint"]
 
 
+def test_fingerprint_is_sha256_of_the_canonical_json():
+    """The interpreter's own SHA-256 gives hashlib's digest, and braid 3
+    keeps the fingerprint it has always had."""
+    import hashlib
+
+    arr, _, _ = get_trio("braid3")
+    blob = json.dumps(arrangement_to_json(arr), sort_keys=True).encode()
+    assert arr.fingerprint() == hashlib.sha256(blob).hexdigest()[:16]
+    assert arr.fingerprint() == "3d9ab4c618b7a625"
+
+
 def test_faces_and_flats_results(capsys):
     code, rep = run_json(capsys, ["faces", "--family", "braid", "--n", "3"])
     assert code == 0

@@ -278,6 +278,27 @@ def test_flat_index_out_of_range():
         character(lat, TitsElement(arr, {}), 99)
 
 
+def test_flat_multiply_checks_only_nonzero_indices():
+    """A nonzero coefficient at a missing flat raises IndexOutOfRange in
+    either operand, also after a push has cancelled; a zero one is skipped
+    unchecked."""
+    _, _, lat = get_trio("braid3")
+    top, wall = lat.top, lat.index_of({0})
+    cancels = {top: 1, wall: -1}  # H_top (H_top - H_wall) = 0
+    for x in (-1, len(lat)):
+        for zero in (0, Fraction(0), 0.0):
+            assert flat_multiply(lat, {x: zero, wall: 1}, {top: 1}) == {top: 1}
+            assert flat_multiply(lat, {wall: 1}, {x: zero, top: 1}) == {top: 1}
+        for u, v in (
+            ({x: 1, wall: 1}, {top: 1}),
+            ({wall: 1}, {x: 1, top: 1}),
+            ({x: 1, top: 1}, cancels),
+            ({x: 1}, {}),
+        ):
+            with pytest.raises(IndexOutOfRange):
+                flat_multiply(lat, u, v)
+
+
 def test_parallel_pair_has_no_bottom():
     _, _, lat = get_trio("parallel")
     minimal = [

@@ -1,7 +1,9 @@
 """Differential tests: the star-factored Tits product against the pairwise
-product in `oracles`, and the flat-algebra product and Kung's identity
-against their pairwise loops, on random small rational arrangements of
-each kind and on the named arrangements."""
+product in `oracles`, the flat-algebra product and Kung's identity
+against their pairwise loops, the pushforward and support sums against
+running sums of the scalars, and the characteristic polynomials of every
+flat against sums of polynomials, on random small rational arrangements
+of each kind and on the named arrangements."""
 
 from fractions import Fraction
 
@@ -11,22 +13,37 @@ from hypothesis import strategies as st
 
 from titskit.elements import adams_a, verify_kung
 from titskit.geometry import FaceSet, enumerate_faces
-from titskit.lattice import build_lattice
+from titskit.lattice import (
+    build_lattice,
+    charpoly_over,
+    charpoly_under,
+    subarrangement_map,
+)
 from titskit.scalars import Poly
 from titskit.tits import (
     NotClosed,
     TitsElement,
     basis_element,
+    character,
     compose_signs,
     flat_multiply,
     multiply,
+    pushforward,
     q_basis,
     takeuchi_element,
     unit_element,
 )
 
 from conftest import get_trio
-from oracles import flat_multiply_pairs, kung_pairs, multiply_pairs
+from oracles import (
+    characters_scan,
+    charpoly_over_sum,
+    charpoly_under_sum,
+    flat_multiply_pairs,
+    kung_pairs,
+    multiply_pairs,
+    pushforward_sum,
+)
 from test_enumeration_oracle import KINDS, arrangements
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -37,12 +54,19 @@ SCALARS = {
 }
 
 
-def _element(data, arr, faces, scalar):
+# ints and Fractions in one element, with denominators up to 12
+MIXED = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+def _element(data, arr, faces, scalar, scalars=SCALARS):
     """A sparse element on at most eight faces; a coefficient may be 0."""
     keys = data.draw(
         st.lists(st.sampled_from(faces.sign_vectors()), max_size=8, unique=True)
     )
-    return TitsElement(arr, {k: data.draw(SCALARS[scalar]) for k in keys})
+    return TitsElement(arr, {k: data.draw(scalars[scalar]) for k in keys})
 
 
 def _assert_close(got, want, w, v):
@@ -85,6 +109,86 @@ def test_product_matches_pairwise_oracle(kind, data):
             mult(partial, hf, hg)
 
 
+def _all_fractions(values):
+    return all(isinstance(c, Fraction) for c in values)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_mixed_rationals_match_running_sums(kind, data):
+    """Integer numerators over one denominator give the running sums'
+    values, and every rational result is a Fraction."""
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    w = _element(data, arr, faces, "mixed", {"mixed": MIXED})
+    v = _element(data, arr, faces, "mixed", {"mixed": MIXED})
+    got = multiply(faces, w, v)
+    assert got == multiply_pairs(faces, w, v)
+    assert _all_fractions(got.coeffs.values())
+    order = data.draw(st.permutations(range(arr.m)))
+    fmap = subarrangement_map(arr, order[:data.draw(st.integers(0, arr.m))])
+    image = pushforward(fmap, w)
+    assert image == pushforward_sum(fmap, w)
+    assert _all_fractions(image.coeffs.values())
+    chars = [character(lat, w, x) for x in range(len(lat))]
+    assert chars == characters_scan(lat.flats, w)
+    assert _all_fractions(c for c in chars if c != 0)
+
+
+def _flat_element(data, lat, scalar):
+    """A flat-algebra element on at most six flats, with an explicit zero."""
+    u = data.draw(st.dictionaries(
+        st.integers(0, len(lat) - 1), SCALARS[scalar], max_size=6
+    ))
+    u[data.draw(st.integers(0, len(lat) - 1))] = 0
+    return u
+
+
+def _assert_flat_close(got, want, u, v):
+    """As `_assert_close`, on flat-algebra elements."""
+    scale = sum(map(abs, u.values())) * sum(map(abs, v.values()))
+    for k in set(got) | set(want):
+        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_flat_product_scalars_and_cancellation(kind, data):
+    """Rational, polynomial and float coefficients, zero coefficients, and
+    right factors whose push cancels at a flat of the left one."""
+    arr = data.draw(arrangements(kind))
+    lat = build_lattice(arr, enumerate_faces(arr))
+    for scalar in SCALARS:
+        u, v = _flat_element(data, lat, scalar), _flat_element(data, lat, scalar)
+        got, want = flat_multiply(lat, u, v), flat_multiply_pairs(lat, u, v)
+        if scalar == "float":
+            _assert_flat_close(got, want, u, v)
+        else:
+            assert got == want
+    # H_x (H_y - H_{x join y}) = 0, so the push at x and above cancels
+    x, y, z = (data.draw(st.integers(0, len(lat) - 1)) for _ in range(3))
+    c = data.draw(_fractions.filter(bool))
+    v = {y: c}
+    v[lat.join(x, y)] = v.get(lat.join(x, y), 0) - c
+    u = {x: Fraction(1), z: data.draw(_fractions)}
+    assert flat_multiply(lat, u, v) == flat_multiply_pairs(lat, u, v)
+    assert flat_multiply(lat, {x: 1}, v) == {}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_charpolys_of_every_flat_match_polynomial_sums(kind, data):
+    arr = data.draw(arrangements(kind))
+    lat = build_lattice(arr, enumerate_faces(arr))
+    for x in range(len(lat)):
+        assert charpoly_under(lat, x) == charpoly_under_sum(lat, x)
+        assert charpoly_over(lat, x) == charpoly_over_sum(lat, x)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)
 @given(data=st.data())
@@ -120,3 +224,6 @@ def test_identities_match_pairwise_oracle(name):
     for qx in q.values():
         for qy in q.values():
             assert flat_multiply(lat, qx, qy) == flat_multiply_pairs(lat, qx, qy)
+    for x in range(len(lat)):
+        assert charpoly_under(lat, x) == charpoly_under_sum(lat, x)
+        assert charpoly_over(lat, x) == charpoly_over_sum(lat, x)
