@@ -3,6 +3,10 @@ arrangements: face enumeration over the rationals, the intersection
 lattice with its Moebius function and characteristic polynomial,
 characteristic elements (unit, Takeuchi, Adams, coordinate, intrinsic),
 and conic intrinsic volumes with exact and Monte Carlo evaluation.
+
+Tuples are built from lists, tuple([...]) and f(*[...]), not generators:
+CPython 3.11 sizes a generator's tuple by resizing, bypassing the free
+list its size is later returned to, which then fills up and stays full.
 """
 
 from .geometry import (

@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .elements import (
     GenericDegenerate,
@@ -588,8 +589,12 @@ _HANDLERS = {
 }
 
 
+# built on the first call to main, once per process, and not at import
+_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .linalg import common_denominator, dot, matrix_rank, nullspace
+from .linalg import _idot, common_denominator, dot, matrix_rank, nullspace
 
 
 class ZeroNormal(ValueError):
@@ -72,7 +72,7 @@ def canonicalize(normal, offset):
     sign = 1 if lead > 0 else -1
     scale = Fraction(sign * den, g)
     return Hyperplane(
-        normal=tuple(sign * v // g for v in ints),
+        normal=tuple([sign * v // g for v in ints]),
         offset=Fraction(offset) * scale,
     )
 
@@ -108,7 +108,7 @@ class Arrangement:
         return self.hyperplanes[i].value(point)
 
     def sign_vector(self, point):
-        return tuple(h.side(point) for h in self.hyperplanes)
+        return tuple([h.side(point) for h in self.hyperplanes])
 
     def fingerprint(self):
         """Stable short hash of the canonical hyperplane data."""
@@ -123,7 +123,7 @@ class Arrangement:
 
 def make_arrangement(dim, rows, kind="custom", params=None):
     """Build an Arrangement from raw (normal, offset) pairs."""
-    hps = tuple(canonicalize(a, b) for a, b in rows)
+    hps = tuple([canonicalize(a, b) for a, b in rows])
     return Arrangement(dim=dim, hyperplanes=hps, kind=kind, params=dict(params or {}))
 
 
@@ -177,7 +177,7 @@ def signs_to_str(signs):
 def str_to_signs(text):
     table = {"+": 1, "0": 0, "-": -1}
     try:
-        return tuple(table[ch] for ch in text)
+        return tuple([table[ch] for ch in text])
     except KeyError as exc:
         raise ValueError(f"bad sign character in {text!r}") from exc
 
@@ -245,10 +245,6 @@ class FaceSet:
         return out
 
 
-def _idot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _bits(mask):
     """Indices of the set bits of a mask, in increasing order."""
     while mask:
@@ -261,7 +257,8 @@ def _lift(arr):
     """Homogenized integer rows: (a_j, -b_j) scaled by the denominator of
     b_j for each hyperplane a_j . x = b_j, then the row of x0 at index m."""
     rows = [
-        tuple(c * h.offset.denominator for c in h.normal) + (-h.offset.numerator,)
+        tuple([c * h.offset.denominator for c in h.normal])
+        + (-h.offset.numerator,)
         for h in arr.hyperplanes
     ]
     rows.append((0,) * arr.dim + (1,))
@@ -289,7 +286,7 @@ def _cut(basis, row):
         if i != p:
             v = [rates[p] * x - r * y for x, y in zip(b, basis[p])]
             g = gcd(*v)
-            out.append(tuple(x // g for x in v))
+            out.append(tuple([x // g for x in v]))
     return out
 
 
@@ -305,7 +302,7 @@ def _cocircuits(rows):
     """
     width = len(rows[0])
     full = (1 << len(rows)) - 1
-    level = {0: [tuple(int(i == j) for j in range(width)) for i in range(width)]}
+    level = {0: [tuple([int(i == j) for j in range(width)]) for i in range(width)]}
     for _ in range(matrix_rank(rows) - 1):
         covers = {}
         for mask, basis in level.items():
@@ -322,7 +319,7 @@ def _cocircuits(rows):
     out = []
     for basis in level.values():
         y = next(b for b in basis if any(_idot(row, b) for row in rows))
-        for v in (y, tuple(-c for c in y)):
+        for v in (y, tuple([-c for c in y])):
             out.append(_sign_masks(rows, v) + (v,))
     return out
 
@@ -351,7 +348,7 @@ def _line(row):
     entry positive."""
     g = gcd(*row)
     lead = next(c for c in row if c)
-    return tuple((c if lead > 0 else -c) // g for c in row)
+    return tuple([(c if lead > 0 else -c) // g for c in row])
 
 
 @lru_cache(maxsize=256)
@@ -411,8 +408,8 @@ def enumerate_faces(arr):
         if not p >> m & 1:
             continue
         below = _below(cocircuits, p, q)
-        y = [sum(col) for col in zip(*(v for _, _, v in below))]
-        signs = tuple((p >> j & 1) - (q >> j & 1) for j in range(m))
+        y = [sum(col) for col in zip(*[v for _, _, v in below])]
+        signs = tuple([(p >> j & 1) - (q >> j & 1) for j in range(m)])
         if _sign_masks(rows, y) != (p, q):
             raise WitnessMismatch(
                 f"witness of {signs_to_str(signs)} lies in another face"
@@ -424,7 +421,7 @@ def enumerate_faces(arr):
         faces.append(
             Face(
                 signs=signs,
-                witness=tuple(Fraction(c, y[n]) for c in y[:n]),
+                witness=tuple([Fraction(c, y[n]) for c in y[:n]]),
                 dim=len(hulls[zero]),
                 essentially_bounded=_bounded(below, m),
                 hull_basis=hulls[zero],
@@ -443,7 +440,7 @@ def recession_cone(arr, face):
         if s == 0:
             eqs.append(normal)
         else:
-            ineqs.append(tuple(s * c for c in normal))
+            ineqs.append(tuple([s * c for c in normal]))
     return HomogeneousCone(
         dim=arr.dim, equalities=tuple(eqs), inequalities=tuple(ineqs)
     )

@@ -7,8 +7,10 @@ Two evaluation paths:
 * exact, when the cone has essential dimension at most three (subspaces,
   rays, planar wedges and spherical polygons modulo lineality): the angles
   between the exact extreme rays give the wedge's v_k and, by Girard's
-  theorem and McMullen's angle sums, the polygon's; floats enter only at
-  each arccos (try_exact_profile);
+  theorem and McMullen's angle sums, the polygon's.  The rays and their
+  Gram matrix are integers over one common scale, and floats enter only
+  at each cosine, one correctly rounded division, and its arccos
+  (try_exact_profile);
 * Monte Carlo otherwise.  Gaussian samples are rationalized to dyadic
   rationals, and each is given its face by exact integer sign tests: by
   the Moreau decomposition the nearest point of x is P_F x, for the one
@@ -24,7 +26,8 @@ the equalities and nowhere negative (geometry._cone_rays), and the faces
 are their closure under composition.  Every projection onto a subspace
 cut out by some of the rows (a face span, or the lineality space) comes
 from one cache keyed by the lines of those rows (_complement), so all
-recession cones of one arrangement project once per flat.
+recession cones of one arrangement project once per flat; the cache holds
+each projection also as an integer matrix over its denominator.
 
 Each face's recession cone is profiled once, by intrinsic_element, into
 the table IntrinsicElement.profiles (face signs -> ConicVolumeProfile).
@@ -38,16 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import acos, gcd, pi, sqrt
-from operator import mul
 
 from .geometry import _cone_rays, _covectors, _line, recession_cone
-from .linalg import (
-    common_denominator,
-    dot,
-    matrix_rank,
-    matvec,
-    projection_matrix,
-)
+from .linalg import _idot, common_denominator, matrix_rank, projection_matrix
 from .scalars import Poly
 from .tits import TitsElement, multiply
 
@@ -78,9 +74,10 @@ class ConeFace:
 
 
 def _complement(rows, n):
-    """(P, dim) for the subspace of R^n orthogonal to every row: P its
-    exact orthogonal projection matrix, dim its dimension.  Both depend
-    only on the lines the rows span, so they are cached by those lines."""
+    """(P, dim, den, den P) for the subspace of R^n orthogonal to every
+    row: P its exact orthogonal projection matrix, dim its dimension and den
+    P's denominator.  All depend only on the lines the rows span, so they
+    are cached by those lines."""
     lines = tuple(sorted({_line(r) for r in rows if any(r)}))
     return _line_complement(lines, n)
 
@@ -88,11 +85,13 @@ def _complement(rows, n):
 @lru_cache(maxsize=1024)
 def _line_complement(lines, n):
     p = projection_matrix(list(lines), n)
-    proj = tuple(
-        tuple(int(i == j) - c for j, c in enumerate(row))
+    proj = tuple([
+        tuple([int(i == j) - c for j, c in enumerate(row)])
         for i, row in enumerate(p)
-    )
-    return proj, n - int(sum(p[i][i] for i in range(n)))
+    ])
+    den = common_denominator(c for row in proj for c in row)
+    m = tuple([tuple([int(c * den) for c in row]) for row in proj])
+    return proj, n - int(sum(p[i][i] for i in range(n))), den, m
 
 
 def cone_faces(cone):
@@ -110,7 +109,7 @@ def cone_faces(cone):
         active = [
             i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
         ]
-        proj, dim = _complement(
+        proj, dim, _, _ = _complement(
             rows[:neq] + [cone.inequalities[i] for i in active], cone.dim
         )
         out.append(ConeFace(active=frozenset(active), dim=dim, proj=proj))
@@ -138,10 +137,11 @@ class ConicVolumeProfile:
         return sum(((-1) ** k) * v for k, v in enumerate(self.values))
 
 
-def _angle(uv, uu, vv):
-    """Angle between two vectors, from their exact dot product uv and
-    squared norms uu, vv; the float step is this final arccos."""
-    cosine = float(uv) / sqrt(float(uu) * float(vv))
+def _angle(uv, uu, vv, scale):
+    """Angle between two vectors, from their dot product uv and squared
+    norms uu, vv, integers over a common scale; the float step is this
+    final arccos.  int / int is correctly rounded, as float(Fraction) is."""
+    cosine = (uv / scale) / sqrt((uu / scale) * (vv / scale))
     return acos(max(-1.0, min(1.0, cosine)))
 
 
@@ -150,7 +150,10 @@ def try_exact_profile(cone):
 
     The rays (geometry._cone_rays), projected exactly off the
     lineality space L, span the essential space; every angle comes from
-    their Gram matrix G.  With l = dim L, a wedge of angle t has
+    their Gram matrix G.  With the cached projection onto L as an integer
+    matrix M over den, the projected rays den u - M u and den^2 G are
+    integers, and each cosine is one correctly rounded division by den^2.
+    With l = dim L, a wedge of angle t has
     v_l = 1/2 - t/2pi, v_(l+1) = 1/2, v_(l+2) = t/2pi.  In essential
     dimension 3 the rays are the k vertices of a spherical polygon, and two
     are adjacent when a non-implicit inequality vanishes on both (each ray
@@ -163,22 +166,24 @@ def try_exact_profile(cone):
     v_(l+1) = sum (pi - d_i)/4pi and v_l = (2pi - sum t_i)/4pi.
     """
     n = cone.dim
-    lin, ell = _complement(list(cone.equalities) + list(cone.inequalities), n)
+    _, ell, den, lin = _complement([*cone.equalities, *cone.inequalities], n)
     rays = _cone_rays(cone)
     us = [v for _, _, v in rays]
+    # the rays projected off L, times den; lin = 0 and den = 1 when ell = 0
     if ell:
-        us = [tuple(a - b for a, b in zip(u, matvec(lin, u))) for u in us]
+        us = [[den * c - _idot(row, u) for c, row in zip(u, lin)] for u in us]
     ess = matrix_rank(us)
     if ess > 3:
         return None
-    g = [[dot(u, w) for w in us] for u in us]
+    scale = den * den  # g is the Gram matrix of the projected rays times it
+    g = [[_idot(u, w) for w in us] for u in us]
     values = [0.0] * (n + 1)
     if ess == 0:
         values[ell] = 1.0
     elif ess == 1:
         values[ell] = values[ell + 1] = 0.5
     elif ess == 2:
-        frac = _angle(g[0][1], g[0][0], g[1][1]) / (2 * pi)
+        frac = _angle(g[0][1], g[0][0], g[1][1], scale) / (2 * pi)
         values[ell : ell + 3] = [0.5 - frac, 0.5, frac]
     else:
         facets = 0
@@ -199,12 +204,13 @@ def try_exact_profile(cone):
                 )
             j, m = nbrs
             theta += sum(
-                _angle(g[i][x], g[i][i], g[x][x]) for x in nbrs if x > i
+                _angle(g[i][x], g[i][i], g[x][x], scale) for x in nbrs if x > i
             )
             delta += _angle(
                 g[i][i] * g[j][m] - g[i][j] * g[i][m],
                 g[i][i] * g[j][j] - g[i][j] ** 2,
                 g[i][i] * g[m][m] - g[i][m] ** 2,
+                scale * scale,
             )
         values[ell : ell + 4] = [
             (2 * pi - theta) / (4 * pi),
@@ -214,7 +220,7 @@ def try_exact_profile(cone):
         ]
     return ConicVolumeProfile(
         values=tuple(values),
-        half_width=tuple(0.0 for _ in values),
+        half_width=(0.0,) * len(values),
         method="exact",
     )
 
@@ -223,7 +229,7 @@ def _primitive(ints):
     """The integer row divided by the gcd of its entries: the multiple with
     coprime entries, whose sign on any point is the row's."""
     g = gcd(*ints)
-    return tuple(c // g for c in ints) if g else tuple(ints)
+    return tuple([c // g for c in ints]) if g else tuple(ints)
 
 
 def _cells(cone):
@@ -233,22 +239,22 @@ def _cells(cone):
     inequality not active on F), and x - P_F x is in the normal cone at F,
     r . x <= 0 for each outer row v - P_F v (v a ray outside span F).  The
     cells partition space: the nearest point of x in the cone is P_F x for
-    the one face F whose cell holds x.  P_F is scaled to the integer matrix
-    m = den P_F, so the rows come from integer products."""
+    the one face F whose cell holds x.  The rows are integer products with
+    m = den P_F, read from the projection cache (_complement)."""
     rays = [v for _, _, v in _cone_rays(cone)]
     cells = []
     for f in cone_faces(cone):
-        den = common_denominator(c for row in f.proj for c in row)
-        m = [[int(c * den) for c in row] for row in f.proj]
+        _, _, den, m = _complement(
+            list(cone.equalities) + [cone.inequalities[i] for i in f.active],
+            cone.dim,
+        )
         inner = {
-            _primitive([sum(map(mul, row, a)) for row in m])
+            _primitive([_idot(row, a) for row in m])
             for i, a in enumerate(cone.inequalities)
             if i not in f.active
         }
         outer = {
-            _primitive(
-                [den * c - sum(map(mul, row, v)) for c, row in zip(v, m)]
-            )
+            _primitive([den * c - _idot(row, v) for c, row in zip(v, m)])
             for v in rays
         }
         outer.discard((0,) * cone.dim)
@@ -303,7 +309,7 @@ def _mc_profile(cone, samples, seed):
         done += cnt
         chunk_index += 1
 
-    return tuple(float(c) / samples for c in counts)
+    return tuple([float(c) / samples for c in counts])
 
 
 def conic_intrinsic_volumes(
@@ -332,7 +338,7 @@ def conic_intrinsic_volumes(
     hw = 3 * 0.5 / sqrt(samples)
     return ConicVolumeProfile(
         values=values,
-        half_width=tuple(hw for _ in values),
+        half_width=(hw,) * len(values),
         method="monte-carlo",
         samples=samples,
         seed=seed,
@@ -420,10 +426,10 @@ def klivans_swartz_from_profiles(faces, lattice, profiles):
         for j in range(r + 1):
             sums[j] += prof.values[j + d]
             hw[j] += prof.half_width[j + d]
-    estimate = tuple(((-1) ** (r - j)) * sums[j] for j in range(r + 1))
+    estimate = tuple([((-1) ** (r - j)) * sums[j] for j in range(r + 1)])
     chi = lattice.charpoly()
-    exact = tuple(float(chi.coefficient(j)) for j in range(r + 1))
-    deviations = tuple(abs(a - b) for a, b in zip(estimate, exact))
+    exact = tuple([float(chi.coefficient(j)) for j in range(r + 1)])
+    deviations = tuple([abs(a - b) for a, b in zip(estimate, exact)])
     return KlivansSwartzReport(
         estimate=estimate,
         exact=exact,

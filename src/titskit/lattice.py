@@ -225,7 +225,7 @@ def subarrangement_map(arr, indices):
         raise ValueError("repeated hyperplane index")
     target = Arrangement(
         dim=arr.dim,
-        hyperplanes=tuple(arr.hyperplanes[i] for i in indices),
+        hyperplanes=tuple([arr.hyperplanes[i] for i in indices]),
         kind="custom",
         params={"subset_of": arr.kind},
     )

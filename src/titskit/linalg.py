@@ -1,63 +1,82 @@
-"""Dense exact linear algebra over Fraction entries.
+"""Dense exact linear algebra over int or Fraction entries, at desk scale.
 
-Everything here runs at desk scale (dimensions below ten), so plain Gaussian
-elimination with exact pivots is both adequate and simplest to trust.
+Every routine runs one fraction-free Gauss-Jordan elimination (Bareiss,
+1968): rows scaled to integers, eliminated by cross-multiplication and
+divided by their gcd.  Fractions are formed only for returned entries; the
+reduced row echelon form is unique, so they equal Fraction elimination's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 
 def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def matvec(m, x):
-    return tuple(dot(row, x) for row in m)
+def _idot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _integer_row(row):
+    den = lcm(*[c.denominator for c in row])
+    return [c.numerator * (den // c.denominator) for c in row]
+
+
+def _eliminate(rows):
+    """(m, pivots): m the rows' reduced row echelon form with pivot row r
+    scaled to primitive integers (its pivot, in column pivots[r], need not
+    be 1), zero rows last."""
+    m = list(map(_integer_row, rows))
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top = m[r]
+        a = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                new = [a * x - f * y for x, y in zip(row, top)]
+                g = gcd(*new) or 1  # 0 when the row eliminated to zero
+                m[i] = [x // g for x in new]
+        pivots.append(c)
+    return m, pivots
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, pivots = _eliminate(rows)
+    scale = [row[c] for row, c in zip(m, pivots)]
+    scale += [1] * (len(m) - len(pivots))
+    return [[Fraction(x, s) for x in row] for row, s in zip(m, scale)], pivots
 
 
 def matrix_rank(rows):
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows, n):
     """Basis of {x in Q^n : rows @ x = 0}; the empty system yields e_1..e_n."""
     if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    m, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+        return [tuple([Fraction(int(i == j)) for j in range(n)]) for i in range(n)]
+    m, pivots = _eliminate(rows)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -68,15 +87,19 @@ def projection_matrix(vectors, n):
     With B the matrix of the vectors as rows, P = B^T Y for every solution
     Y of (B B^T) Y = B, since B^T Y is the same for all of them; one
     elimination of [B B^T | B] gives one.  The vectors need not be
-    independent.
+    independent, and scaling them to integer rows leaves P as it is.
     """
-    k = len(vectors)
-    m, pivots = rref([[dot(u, v) for v in vectors] + list(u) for u in vectors])
-    y = [[Fraction(0)] * n for _ in range(k)]
-    for r, pc in enumerate(pivots):
-        y[pc] = m[r][k:]
+    b = list(map(_integer_row, vectors))
+    k = len(b)
+    m, pivots = _eliminate([[_idot(u, v) for v in b] + u for u in b])
+    # row r of Y is m[r][k:] / m[r][pc] at pc = pivots[r], and 0 elsewhere
+    den = lcm(*[row[pc] for row, pc in zip(m, pivots)])
+    ys = [
+        (b[pc], [x * (den // row[pc]) for x in row[k:]])
+        for row, pc in zip(m, pivots)
+    ]
     return [
-        [dot((b[i] for b in vectors), (row[j] for row in y)) for j in range(n)]
+        [Fraction(sum(u[i] * y[j] for u, y in ys), den) for j in range(n)]
         for i in range(n)
     ]
 

@@ -181,7 +181,7 @@ def lp_feasible(dim, equalities=(), strict_inequalities=(), weak_inequalities=()
     values = [Fraction(0)] * nstruct
     for i, bv in enumerate(basis):
         values[bv] = rows[i][-1]
-    point = tuple(values[k] - values[dim + k] for k in range(dim))
+    point = tuple([values[k] - values[dim + k] for k in range(dim)])
 
     for a, b in eqs:
         assert sum(Fraction(ak) * x for ak, x in zip(a, point)) == b

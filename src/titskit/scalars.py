@@ -50,13 +50,13 @@ class Poly:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
+            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -111,7 +111,7 @@ class Poly:
         return Poly(self.coeffs[1:])
 
     def map_coeffs(self, fn):
-        return Poly(tuple(fn(c) for c in self.coeffs))
+        return Poly([fn(c) for c in self.coeffs])
 
     # -- comparison / display -------------------------------------------
 

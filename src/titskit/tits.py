@@ -126,7 +126,7 @@ def basis_element(arr, signs):
 
 
 def compose_signs(f_signs, g_signs):
-    return tuple(f if f != 0 else g for f, g in zip(f_signs, g_signs))
+    return tuple([f if f != 0 else g for f, g in zip(f_signs, g_signs)])
 
 
 def tits_product(faces, f_signs, g_signs):
@@ -166,7 +166,7 @@ def _numerators(*coeffs):
     values = [c for cs in coeffs for c in cs.values()]
     if not all(isinstance(c, (int, Fraction)) for c in values):
         return None, coeffs
-    den = lcm(*(c.denominator for c in values))
+    den = lcm(*[c.denominator for c in values])
     return den, [{k: c.numerator * (den // c.denominator)
                   for k, c in cs.items()} for cs in coeffs]
 
@@ -214,7 +214,7 @@ def multiply(faces, w, v):
         if not c:
             continue
         if k not in by_key:
-            signs = tuple((k >> j & 1) - (k >> (m + j) & 1) for j in range(m))
+            signs = tuple([(k >> j & 1) - (k >> (m + j) & 1) for j in range(m)])
             raise NotClosed(f"{signs_to_str(signs)} is missing from the face set")
         coeffs[by_key[k]] = c
     # a product of two numerators sits over den squared
@@ -318,14 +318,19 @@ def flat_multiply(lattice, u, v):
     """H_X H_Y = H_{X join Y}, bilinearly: one push of v per flat of u (see
     the module docstring).  A nonzero coefficient at a missing flat raises
     IndexOutOfRange; a zero one is skipped."""
-    source = [(lattice.above_mask(y), c) for y, c in v.items() if c != 0]
+    keys = [x for w in (u, v) for x, c in w.items() if c != 0]
+    if keys:
+        lattice._checked(min(keys))
+        lattice._checked(max(keys))
+    above = lattice._above
+    source = [(above[y], c) for y, c in v.items() if c != 0]
     pushes = []  # (above-set of x, push of v at x), x increasing
     dead = 0  # the flats above a flat whose push cancelled
     out = {}
     for x, cx in sorted(u.items()):
-        if cx == 0 or x >= 0 and dead >> x & 1:
+        if cx == 0 or dead >> x & 1:
             continue
-        up = lattice.above_mask(x)
+        up = above[x]
         base = next((p for ux, p in reversed(pushes) if ux >> x & 1), source)
         push = {}
         for key, c in base:

@@ -48,6 +48,14 @@ cone faces moved to the covectors of the cone's rows in
 solve per column), as `titskit.linalg.projection_matrix` was before it
 became one elimination of [B B^T | B].
 
+`rref` (Gaussian elimination with exact Fraction pivots), `nullspace_rref`
+and `projection_matrix_rref` (both read off that rref), with `matvec`, are
+the exact linear algebra as it was before `titskit.linalg` became one
+fraction-free elimination on integer rows; `try_exact_profile_fraction`
+is the exact cone profile on Fraction vectors, as before
+`titskit.intrinsic` projected the rays and formed their Gram matrix in
+integers.  `projection_matrix_gram` and `_solve` use this `rref`.
+
 `project_to_cone` (the feasible face projection of least distance, with
 its optimality conditions checked exactly) and `mc_profile_nearest` (the
 same search for a chunk of dyadic samples at once, over one common
@@ -59,7 +67,7 @@ each sample its face by sign tests on the faces' Moreau cells.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import acos, lcm, pi, sqrt
 
 from titskit import intrinsic
 from titskit.elements import DeletionReport
@@ -73,6 +81,8 @@ from titskit.geometry import (
 )
 from titskit.intrinsic import (
     ConeFace,
+    ConicVolumeProfile,
+    PolygonMismatch,
     ProjectionMismatch,
     _complement,
     cone_faces,
@@ -86,14 +96,7 @@ from titskit.lattice import (
     subarrangement_map,
     support_closure,
 )
-from titskit.linalg import (
-    common_denominator,
-    dot,
-    matrix_rank,
-    matvec,
-    nullspace,
-    rref,
-)
+from titskit.linalg import common_denominator, dot, matrix_rank, nullspace
 from titskit.lp import lp_feasible
 from titskit.scalars import Poly, T
 from titskit.tits import (
@@ -105,6 +108,65 @@ from titskit.tits import (
     takeuchi_element,
     unit_element,
 )
+
+
+def matvec(m, x):
+    return tuple(dot(row, x) for row in m)
+
+
+def rref(rows):
+    """Reduced row echelon form by Gaussian elimination with exact Fraction
+    pivots; returns (rows, pivot_columns)."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def nullspace_rref(rows, n):
+    """Basis of {x in Q^n : rows @ x = 0} read off the Fraction rref."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    m, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def projection_matrix_rref(vectors, n):
+    """Orthogonal projection onto span(vectors): P = B^T Y for the
+    solution Y of (B B^T) Y = B read off the Fraction rref of
+    [B B^T | B]."""
+    k = len(vectors)
+    m, pivots = rref([[dot(u, v) for v in vectors] + list(u) for u in vectors])
+    y = [[Fraction(0)] * n for _ in range(k)]
+    for r, pc in enumerate(pivots):
+        y[pc] = m[r][k:]
+    return [
+        [dot((b[i] for b in vectors), (row[j] for row in y)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _reduce_basis(basis, rates):
@@ -619,6 +681,76 @@ def implicit_equalities_lp(cone):
     return out
 
 
+def _angle_fraction(uv, uu, vv):
+    cosine = float(uv) / sqrt(float(uu) * float(vv))
+    return acos(max(-1.0, min(1.0, cosine)))
+
+
+def try_exact_profile_fraction(cone):
+    """`intrinsic.try_exact_profile` on Fraction vectors: the rays
+    projected off the lineality space by the Fraction projection, their
+    rank by the Fraction rref, and every angle from their Fraction Gram
+    matrix."""
+    n = cone.dim
+    rows = list(cone.equalities) + list(cone.inequalities)
+    lin, ell = _complement(rows, n)[:2]
+    rays = _cone_rays(cone)
+    us = [v for _, _, v in rays]
+    if ell:
+        us = [tuple(a - b for a, b in zip(u, matvec(lin, u))) for u in us]
+    ess = len(rref(us)[1])
+    if ess > 3:
+        return None
+    g = [[dot(u, w) for w in us] for u in us]
+    values = [0.0] * (n + 1)
+    if ess == 0:
+        values[ell] = 1.0
+    elif ess == 1:
+        values[ell] = values[ell + 1] = 0.5
+    elif ess == 2:
+        frac = _angle_fraction(g[0][1], g[0][0], g[1][1]) / (2 * pi)
+        values[ell : ell + 3] = [0.5 - frac, 0.5, frac]
+    else:
+        facets = 0
+        for p, _, _ in rays:
+            facets |= p
+        k = len(rays)
+        theta = delta = 0.0
+        for i, (p, _, _) in enumerate(rays):
+            nbrs = [
+                j
+                for j, (q, _, _) in enumerate(rays)
+                if j != i and facets & ~(p | q)
+            ]
+            if len(nbrs) != 2:
+                raise PolygonMismatch(
+                    f"ray {i} of a cone of essential dimension 3 has "
+                    f"{len(nbrs)} neighbouring rays, not 2"
+                )
+            j, m = nbrs
+            theta += sum(
+                _angle_fraction(g[i][x], g[i][i], g[x][x])
+                for x in nbrs
+                if x > i
+            )
+            delta += _angle_fraction(
+                g[i][i] * g[j][m] - g[i][j] * g[i][m],
+                g[i][i] * g[j][j] - g[i][j] ** 2,
+                g[i][i] * g[m][m] - g[i][m] ** 2,
+            )
+        values[ell : ell + 4] = [
+            (2 * pi - theta) / (4 * pi),
+            (k * pi - delta) / (4 * pi),
+            theta / (4 * pi),
+            (delta - (k - 2) * pi) / (4 * pi),
+        ]
+    return ConicVolumeProfile(
+        values=tuple(values),
+        half_width=tuple(0.0 for _ in values),
+        method="exact",
+    )
+
+
 def project_to_cone(cone, point, faces=None):
     """Exact nearest point of the cone, with the face dimension it lies in.
 
@@ -655,7 +787,7 @@ def project_to_cone(cone, point, faces=None):
     if any(matvec(face.proj, residual)):
         raise ProjectionMismatch("residual is not orthogonal to the face")
     rows = list(cone.equalities) + list(cone.inequalities)
-    lineality, _ = _complement(rows, cone.dim)
+    lineality = _complement(rows, cone.dim)[0]
     if (
         dot(residual, q)
         or any(matvec(lineality, residual))

@@ -254,6 +254,26 @@ def test_reports_do_not_depend_on_asserts(tmp_path):
         assert reports[0]["ok"] is True
 
 
+def test_library_builds_no_tuple_from_a_generator():
+    # see the titskit package docstring: tuple(<generator>) and
+    # f(*<generator>) leave CPython's tuple free lists full
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "titskit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            named_tuple = isinstance(node.func, ast.Name) and node.func.id == "tuple"
+            for arg in node.args:
+                starred = isinstance(arg, ast.Starred)
+                value = arg.value if starred else arg
+                if isinstance(value, ast.GeneratorExp) and (starred or named_tuple):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_failing_check_exits_1(capsys, monkeypatch):
     def fake(arr, faces, lattice, args):
         return {}, [{"name": "forced", "ok": False}], ["boom"], {}
@@ -415,3 +435,41 @@ def test_generic_family_uses_seed(capsys):
     )
     assert a["fingerprint"] == b["fingerprint"]
     assert a["results"]["charpoly"] == "t^2 - 3t + 3"
+
+
+# different commands, with parse errors and parser.error exits between them
+REPEATED = [
+    ["charpoly", "--family", "braid", "--n", "4"],
+    ["verify", "kung", "--family", "braid", "--n", "3"],
+    ["faces", "--family", "braid", "--n", "3", "--seed", "-1"],
+    ["zaslavsky", "--family", "coordinate", "--n", "2"],
+    ["verify", "kung", "--family", "braid", "--n", "3", "--hyperplane", "0"],
+    ["verify", "deletion", "--family", "braid", "--n", "3", "--hyperplane", "1"],
+    ["element", "bogus", "--family", "braid", "--n", "3"],
+    ["flats", "--family", "braid"],
+    ["intrinsic", "--family", "coordinate", "--n", "2", "--exact-only"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_repeated_main_calls_match_fresh_parsers(capsys):
+    # main builds its parser once per process; every call then parses and
+    # fails as with a parser of its own
+    cached = [_outcome(capsys, argv) for argv in REPEATED]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in REPEATED:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 2, 0, 2, 2, 0]
+    assert "--seed must be non-negative" in cached[2][2]
+    assert "invalid choice: 'bogus'" in cached[6][2]

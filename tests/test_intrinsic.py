@@ -224,7 +224,7 @@ def _polar(cone):
     """The polar cone {y : y.r <= 0 on every ray r, y.l = 0 on the
     lineality space}, with integer rows."""
     rows = list(cone.equalities) + list(cone.inequalities)
-    lineality, _ = intrinsic._complement(rows, cone.dim)
+    lineality = intrinsic._complement(rows, cone.dim)[0]
     return HomogeneousCone(
         dim=cone.dim,
         equalities=tuple(
