@@ -33,9 +33,8 @@ from .linalg import matrix_rank
 from .scalars import Poly, binom_poly
 from .tits import (
     TitsElement,
-    chamber_sum,
+    _support_sums,
     pushforward,
-    support_sum,
     takeuchi_element,
     unit_element,
 )
@@ -250,27 +249,37 @@ class DeletionReport:
         return self.rank_ok and self.identity_ok and self.transport_ok
 
 
+def _transported(faces, lattice):
+    """tau and u with their parameters and support sums on `lattice`, built
+    once per face set and lattice; kept private, never handed out."""
+    if getattr(faces, "_transported", (None,))[0] is not lattice:
+        faces._transported = lattice, [
+            (w, t, _support_sums(lattice, w)) for w, t in
+            ((takeuchi_element(faces), -1), (unit_element(faces), 1))]
+    return faces._transported[1]
+
+
 def verify_deletion_restriction(arr, faces, lattice, h):
     """Check chi(A) = chi(A minus H) - chi(A restricted to H).
 
     The three polynomials are computed on three different lattices.  The
     identity is additionally re-derived through the algebra: pushing the
     Takeuchi and unit elements forward along the deletion map, the chamber
-    sum of each image must reproduce the same bookkeeping.  Requires the
-    deletion to preserve rank; when it does not, the report carries
-    rank_ok=False and no identity claim.
+    sum of each image (its sign vectors with no zero) must reproduce the
+    same bookkeeping.  Requires the deletion to preserve rank; when it
+    does not, the report carries rank_ok=False and no identity claim.
     """
+    fmap, dlat = deletion_lattice(arr, lattice, h)
     flat_h = lattice.index_of(frozenset({h}))
     chi_full = lattice.charpoly()
     chi_under = charpoly_under(lattice, flat_h)
-    fmap, dlat = deletion_lattice(arr, lattice, h)
     chi_del = dlat.charpoly()
     rank_ok = dlat.rank_top() == lattice.rank_top()
-    transport_ok = rank_ok
-    for w, t in ((takeuchi_element(faces), Fraction(-1)),
-                 (unit_element(faces), Fraction(1))):
-        lhs = chamber_sum(lattice, w) + support_sum(lattice, w, flat_h)
-        image = chamber_sum(dlat, pushforward(fmap, w))
+    transport_ok = rank_ok  # a deletion that drops the rank claims nothing
+    for w, t, sums in _transported(faces, lattice) if rank_ok else ():
+        lhs = sums.get(lattice.top, 0) + sums.get(flat_h, 0)
+        image = pushforward(fmap, w).coeffs.items()
+        image = sum((c for signs, c in image if 0 not in signs), 0)
         transport_ok = transport_ok and image == lhs == chi_del(t)
     return DeletionReport(
         hyperplane=h,
@@ -315,11 +324,9 @@ def verify_kung(lattice, s, t):
         (t ** lattice.flat(x).rank * under_s[x] * over_t[x] for x in flats),
         Fraction(0),
     )
-    # grouped by x; x join y is the top when top is their only upper bound
-    ups = [lattice.above_mask(x) for x in flats]
-    top = 1 << lattice.top
     pair_sum = Fraction(0)
-    for x in flats:
-        joined = (under_t[y] for y in flats if ups[x] & ups[y] == top)
+    for x in flats:  # grouped by x, each join read from x's join row
+        row = lattice._join_row(x)
+        joined = (under_t[y] for y in flats if row[y] == lattice.top)
         pair_sum += under_s[x] * sum(joined, Fraction(0))
     return KungReport(s=s, t=t, lhs=lhs, flat_sum=flat_sum, pair_sum=pair_sum)

@@ -11,10 +11,13 @@ closures) while meets may not in the affine case.  Ranks are dimensions
 shifted by the common lineality dimension d, the smallest flat dimension.
 Order questions read each flat's below- and above-set, built once, and one
 pass over the intervals gives the Mobius function and checks gradedness.
+Every flat of a deletion A minus H is a flat of A (Orlik and Terao, 2.3),
+so the deletion's lattice is read off the flats of A, not its faces.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, itemgetter
@@ -45,6 +48,15 @@ class Flat:
     rank: int
 
 
+class _FaceSupport(dict):
+    """Flat index by sign vector; a missing face maps by its zero set."""
+
+    def __missing__(self, signs):
+        zeros = frozenset(j for j, s in enumerate(signs) if s == 0)
+        x = self[signs] = self.index[zeros]
+        return x
+
+
 class FlatLattice:
     """Flats of one arrangement, in order of rank, with joins and Mobius."""
 
@@ -54,7 +66,11 @@ class FlatLattice:
         self._index = {f.closure: i for i, f in enumerate(self.flats)}
         self.top = self._index[frozenset()]
         self.d = self.flats[0].dim - self.flats[0].rank
-        self.face_support = face_support or {}
+        self.face_support = _FaceSupport(face_support or ())
+        self.face_support.index = self._index
+        # built on first use: chi, Q basis, join rows, matched entries by t
+        self._chi = self._q = None
+        self._rows, self._matched = {}, {}
         # masks over flat indices: y <= x when y lies on every hyperplane
         # through x, and x <= y when y lies on no hyperplane missing x
         full = (1 << len(self.flats)) - 1
@@ -104,6 +120,13 @@ class FlatLattice:
         """The flats containing flat x, as a bitmask over flat indices."""
         return self._above[self._checked(x)]
 
+    def _join_row(self, x):
+        """x join y for every flat y, as an array built on first use."""
+        if x not in self._rows:
+            ups = map(self._above[x].__and__, self._above)
+            self._rows[x] = array("I", [(k & -k).bit_length() - 1 for k in ups])
+        return self._rows[x]
+
     def rank_top(self):
         return self.flats[self.top].rank
 
@@ -136,7 +159,9 @@ class FlatLattice:
 
     def charpoly(self):
         """chi(t) = sum over flats Y of mu(Y, top) t^rank(Y)."""
-        return charpoly_under(self, self.top)
+        if self._chi is None:
+            self._chi = charpoly_under(self, self.top)
+        return self._chi
 
 
 def support_closure(arr, face):
@@ -146,33 +171,28 @@ def support_closure(arr, face):
 
 
 def _lattice(arr, dims):
-    """Flat lattice from (sign vector, dim) pairs covering the faces.
-
-    Each flat is a zero set, with the largest dim among the pairs that
-    share it; a sign vector may repeat.  d is the smallest flat dim, and
-    every sign vector maps to the flat of its zero set.
-    """
-    zeros = {}
+    """Flat lattice from (closure, dim) pairs covering the flats: each
+    takes the largest dim among its pairs, and d is the smallest dim."""
     flat_dim = {}
-    for signs, dim in dims:
-        c = frozenset(j for j, s in enumerate(signs) if s == 0)
-        zeros[signs] = c
+    for c, dim in dims:
         flat_dim[c] = max(dim, flat_dim.get(c, dim))
     d = min(flat_dim.values())
     flats = sorted(
         (Flat(closure=c, dim=dim, rank=dim - d) for c, dim in flat_dim.items()),
         key=lambda f: (f.rank, sorted(f.closure)),
     )
-    index = {f.closure: i for i, f in enumerate(flats)}
-    return FlatLattice(arr, flats, {s: index[c] for s, c in zeros.items()})
+    return FlatLattice(arr, flats)
 
 
 def build_lattice(arr, faces):
     """Flat lattice of an arrangement: the zero sets of its faces, each
-    with the dimension of its faces."""
+    with the dimension of its faces; every face maps to its zero set."""
     if not (isinstance(faces, FaceSet) and faces.arr is arr):
         raise ArrangementMismatch("build_lattice needs the FaceSet of arr")
-    return _lattice(arr, ((f.signs, f.dim) for f in faces))
+    zeros = {f.signs: support_closure(arr, f) for f in faces}
+    lat = _lattice(arr, ((zeros[f.signs], f.dim) for f in faces))
+    lat.face_support.update({s: lat._index[c] for s, c in zeros.items()})
+    return lat
 
 
 def charpoly_under(lattice, x):
@@ -233,20 +253,16 @@ def subarrangement_map(arr, indices):
 
 
 def deletion_lattice(arr, lattice, h):
-    """Restriction map dropping hyperplane h, and the deletion's lattice.
-
-    The covectors of a deletion are the restrictions of the covectors of
-    the full arrangement, so the faces of the deletion are the images of
-    the faces of `lattice.face_support` under the map.  A face of the
-    deletion is a union of faces of the full arrangement, and its flat has
-    the largest dimension among their flats.  This avoids re-running face
-    enumeration.  Returns (map, lattice); map.target is the deletion.
-    """
+    """Restriction map dropping hyperplane h, and the deletion's lattice,
+    read off `lattice.flats` alone: each closure loses h, and a flat X of
+    the deletion, the image of X and maybe of X meet H, takes the largest
+    dim among the flats mapping to it.  Returns (map, lattice); map.target
+    is the deletion, whose faces map to their flats on first lookup."""
     if not 0 <= h < arr.m:
         raise IndexOutOfRange(f"hyperplane index {h} out of range")
     fmap = subarrangement_map(arr, [i for i in range(arr.m) if i != h])
     dims = (
-        (fmap(signs), lattice.flat(x).dim)
-        for signs, x in lattice.face_support.items()
+        (frozenset([j - (j > h) for j in f.closure if j != h]), f.dim)
+        for f in lattice.flats
     )
     return fmap, _lattice(fmap.target, dims)

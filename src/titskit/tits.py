@@ -24,7 +24,7 @@ each result back to one Fraction; Poly and float ones take the same loops.
 
 The flat algebra, H_X H_Y = H_{X join Y}, is the support image of the Tits
 algebra and is star-factored alike: H_x pushes v to sum_y c_y H_{x join y},
-keyed by the above-set of the join, the intersection of the two above-sets.
+each join read from x's join row, an array built when x is first pushed.
 Each push starts from one made at a flat below x (x' <= x gives x join y =
 x join (x' join y)) or from v.  A push that cancels does so at every flat
 above x too, and those are skipped; for Q_X Q_Y nearly every push cancels,
@@ -32,7 +32,8 @@ as H_Z Q_Y = 0 unless Z <= Y.
 
 Characters are indexed by flats: chi_X(w) adds w's support sums, taken in
 one pass over w, over the flats below X.  An element is characteristic for
-a parameter t when chi_X(w) = t^rank(X) for every flat X.
+a parameter t when chi_X(w) = t^rank(X) for every flat X; a matched entry
+is shared, from one table per lattice and t.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .geometry import ArrangementMismatch, NotAFace, signs_to_str
 from .scalars import Poly, format_scalar, scalar_kind
@@ -272,36 +274,37 @@ def is_characteristic(lattice, w, t, tol=None):
     With tol=None the comparison is exact; otherwise each deviation (max
     absolute coefficient of the difference) must be <= tol.
     """
+    key = (type(t), t)  # as 1 == Fraction(1) == 1.0
+    if key not in lattice._matched:
+        powers = [t ** k for k in range(lattice.rank_top() + 1)]
+        lattice._matched[key] = [(x, powers[f.rank], powers[f.rank], 0)
+                                 for x, f in enumerate(lattice.flats)]
     sums = _support_sums(lattice, w)
-    powers = [t ** k for k in range(lattice.rank_top() + 1)]
     entries = []
-    for x in range(len(lattice)):
+    for x, match in enumerate(lattice._matched[key]):
         lhs = _character(lattice, sums, x)
-        rhs = powers[lattice.flat(x).rank]
-        dev = 0 if lhs == rhs else _magnitude(lhs - rhs)
-        entries.append((x, lhs if dev else rhs, rhs, dev))  # share a match
+        dev = 0 if lhs == match[2] else _magnitude(lhs - match[2])
+        entries.append((x, lhs, match[2], dev) if dev else match)
     ok = all(e[3] == 0 if tol is None else e[3] <= tol for e in entries)
     return CharacteristicReport(parameter=t, ok=ok, entries=tuple(entries))
+
+
+_SIGN = (Fraction(1), Fraction(-1))  # (-1)^k by the parity of k
 
 
 def unit_element(faces):
     """Alternating sum of essentially bounded faces; characteristic for 1."""
     d = faces.min_dim
-    return TitsElement(
-        faces.arr,
-        {
-            f.signs: Fraction((-1) ** (f.dim - d))
-            for f in faces
-            if f.essentially_bounded
-        },
-    )
+    return TitsElement(faces.arr, {
+        f.signs: _SIGN[(f.dim - d) & 1] for f in faces if f.essentially_bounded
+    })
 
 
 def takeuchi_element(faces):
     """Alternating sum over all faces; characteristic for -1."""
     d = faces.min_dim
     return TitsElement(
-        faces.arr, {f.signs: Fraction((-1) ** (f.dim - d)) for f in faces}
+        faces.arr, {f.signs: _SIGN[(f.dim - d) & 1] for f in faces}
     )
 
 
@@ -309,40 +312,51 @@ def q_basis(lattice):
     """Solomon's complete orthogonal idempotents of the flat algebra.
 
     Returns, for each flat X, the coefficient vector of Q_X in the H basis:
-    Q_X = sum over flats Y >= X of mu(X, Y) H_Y.
+    Q_X = sum over flats Y >= X of mu(X, Y) H_Y; one read-only mapping per
+    lattice.
     """
-    return {x: lattice.mobius_row(x) for x in range(len(lattice))}
+    if lattice._q is None:
+        lattice._q = MappingProxyType(
+            {x: lattice.mobius_row(x) for x in range(len(lattice))}
+        )
+    return lattice._q
 
 
 def flat_multiply(lattice, u, v):
     """H_X H_Y = H_{X join Y}, bilinearly: one push of v per flat of u (see
     the module docstring).  A nonzero coefficient at a missing flat raises
     IndexOutOfRange; a zero one is skipped."""
-    keys = [x for w in (u, v) for x, c in w.items() if c != 0]
-    if keys:
-        lattice._checked(min(keys))
-        lattice._checked(max(keys))
+    n = len(lattice)
+    xs = sorted(u)
+    source = v.items()  # with every key in range, a zero adds nothing
+    if (xs and not (0 <= xs[0] and xs[-1] < n)
+            or v and not (0 <= min(v) and max(v) < n)):
+        for x, c in [*u.items(), *source]:
+            if c != 0:
+                lattice._checked(x)
+        source = [(y, c) for y, c in source if c != 0]
     above = lattice._above
-    source = [(above[y], c) for y, c in v.items() if c != 0]
     pushes = []  # (above-set of x, push of v at x), x increasing
     dead = 0  # the flats above a flat whose push cancelled
     out = {}
-    for x, cx in sorted(u.items()):
+    for x in xs:
+        cx = u[x]
         if cx == 0 or dead >> x & 1:
             continue
-        up = above[x]
+        row = lattice._join_row(x)
         base = next((p for ux, p in reversed(pushes) if ux >> x & 1), source)
         push = {}
-        for key, c in base:
-            push[up & key] = push.get(up & key, 0) + c
-        push = [(key, c) for key, c in push.items() if c != 0]
+        for y, c in base:
+            z = row[y]
+            push[z] = push.get(z, 0) + c
+        push = [(z, c) for z, c in push.items() if c != 0]
         if not push:
-            dead |= up
+            dead |= above[x]
             continue
-        pushes.append((up, push))
-        for key, c in push:
-            out[key] = out.get(key, 0) + cx * c
-    return {(k & -k).bit_length() - 1: c for k, c in out.items() if c != 0}
+        pushes.append((above[x], push))
+        for z, c in push:
+            out[z] = out.get(z, 0) + cx * c
+    return {z: c for z, c in out.items() if c != 0}
 
 
 def pushforward(fmap, w):

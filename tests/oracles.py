@@ -10,7 +10,11 @@ support closure computed from a face's witness and hull basis.
 dimension of the intersection of its hyperplanes by exact rank, and d the
 dimension of the lineality space; they are kept as they were before the
 flat lattice was built from the zero sets and dimensions of the faces in
-`titskit.lattice`.
+`titskit.lattice`.  `lattice_from_faces` is that construction from (sign
+vector, dim) pairs, with an eager face map, and `deletion_lattice_images`
+builds a deletion's lattice from the images of every face under the
+restriction map; both are kept as they were before `titskit.lattice` read
+the deletion's lattice off the flats of the full arrangement.
 
 `verify_deletion_restriction_two_maps` is the deletion-restriction check
 as it was before the deletion was built through one restriction map: it
@@ -32,12 +36,15 @@ faces, as before the product was star-factored in `titskit.tits`;
 `flat_multiply_pairs` (one `join` per pair of flats) and `kung_pairs`
 (each flat's polynomials evaluated inside the pair loop) are the flat
 algebra product and Kung's identity as they were before they read each
-operand's above-set and each evaluation once.  `charpoly_under_sum` and
-`charpoly_over_sum` (a `Poly` sum of mu t^k over the interval) and
-`pushforward_sum` (each image coefficient a running sum of the scalars)
-are kept as they were before `titskit.lattice` read the polynomials as
-integer coefficient lists and `titskit.tits` summed rational
-coefficients as integer numerators over one common denominator.
+operand's above-set and each evaluation once.  `flat_multiply_masks` is
+the star-factored flat product keyed by the above-set of each join, as it
+was before `titskit.tits` read joins from the lattice's join rows.
+
+`charpoly_under_sum` and `charpoly_over_sum` (a `Poly` sum of mu t^k over
+the interval) and `pushforward_sum` (each image coefficient a running sum
+of the scalars) are kept as they were before `titskit.lattice` read the
+polynomials as integer coefficient lists and `titskit.tits` summed
+rational coefficients as integer numerators over one common denominator.
 
 `cone_faces_lp` (one LP per subset of inequalities), `implicit_equalities_lp`
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
@@ -92,7 +99,6 @@ from titskit.lattice import (
     FlatLattice,
     IndexOutOfRange,
     UngradedLattice,
-    _lattice,
     subarrangement_map,
     support_closure,
 )
@@ -369,6 +375,43 @@ def deletion_lattice_rank(arr, lattice, h):
     return sub, FlatLattice(sub, flats)
 
 
+def lattice_from_faces(arr, dims):
+    """Flat lattice from (sign vector, dim) pairs covering the faces.
+
+    Each flat is a zero set, with the largest dim among the pairs that
+    share it; a sign vector may repeat.  d is the smallest flat dim, and
+    every sign vector maps to the flat of its zero set.
+    """
+    zeros = {}
+    flat_dim = {}
+    for signs, dim in dims:
+        c = frozenset(j for j, s in enumerate(signs) if s == 0)
+        zeros[signs] = c
+        flat_dim[c] = max(dim, flat_dim.get(c, dim))
+    d = min(flat_dim.values())
+    flats = sorted(
+        (Flat(closure=c, dim=dim, rank=dim - d) for c, dim in flat_dim.items()),
+        key=lambda f: (f.rank, sorted(f.closure)),
+    )
+    index = {f.closure: i for i, f in enumerate(flats)}
+    return FlatLattice(arr, flats, {s: index[c] for s, c in zeros.items()})
+
+
+def deletion_lattice_images(arr, lattice, h):
+    """Restriction map dropping hyperplane h, and the deletion's lattice
+    from the images of the faces of `lattice.face_support` under the map:
+    a face of the deletion is a union of faces of the full arrangement,
+    and its flat has the largest dimension among their flats."""
+    if not 0 <= h < arr.m:
+        raise IndexOutOfRange(f"hyperplane index {h} out of range")
+    fmap = subarrangement_map(arr, [i for i in range(arr.m) if i != h])
+    dims = (
+        (fmap(signs), lattice.flat(x).dim)
+        for signs, x in lattice.face_support.items()
+    )
+    return fmap, lattice_from_faces(fmap.target, dims)
+
+
 def verify_deletion_restriction_two_maps(arr, faces, lattice, h):
     """chi(A) = chi(A minus H) - chi(A restricted to H), and the transport
     of the Takeuchi and unit elements along the deletion map."""
@@ -381,7 +424,7 @@ def verify_deletion_restriction_two_maps(arr, faces, lattice, h):
         kind="custom",
         params={"deleted": h, "from": arr.kind},
     )
-    dlat = _lattice(sub, (
+    dlat = lattice_from_faces(sub, (
         (signs[:h] + signs[h + 1:], lattice.flat(x).dim)
         for signs, x in lattice.face_support.items()
     ))
@@ -500,6 +543,37 @@ def flat_multiply_pairs(lattice, u, v):
             k = lattice.join(x, y)
             out[k] = out.get(k, 0) + cx * cy
     return {k: c for k, c in out.items() if c != 0}
+
+
+def flat_multiply_masks(lattice, u, v):
+    """H_X H_Y = H_{X join Y}, one push of v per flat of u, each push
+    keyed by the above-set of the join: the intersection of the two
+    above-sets, whose lowest flat is the join."""
+    keys = [x for w in (u, v) for x, c in w.items() if c != 0]
+    if keys:
+        lattice._checked(min(keys))
+        lattice._checked(max(keys))
+    above = [lattice.above_mask(x) for x in range(len(lattice))]
+    source = [(above[y], c) for y, c in v.items() if c != 0]
+    pushes = []  # (above-set of x, push of v at x), x increasing
+    dead = 0  # the flats above a flat whose push cancelled
+    out = {}
+    for x, cx in sorted(u.items()):
+        if cx == 0 or dead >> x & 1:
+            continue
+        up = above[x]
+        base = next((p for ux, p in reversed(pushes) if ux >> x & 1), source)
+        push = {}
+        for key, c in base:
+            push[up & key] = push.get(up & key, 0) + c
+        push = [(key, c) for key, c in push.items() if c != 0]
+        if not push:
+            dead |= up
+            continue
+        pushes.append((up, push))
+        for key, c in push:
+            out[key] = out.get(key, 0) + cx * c
+    return {(k & -k).bit_length() - 1: c for k, c in out.items() if c != 0}
 
 
 def charpoly_under_sum(lattice, x):

@@ -22,7 +22,7 @@ from titskit.elements import (
     zaslavsky_counts,
 )
 from titskit.geometry import DuplicateHyperplane, enumerate_faces
-from titskit.lattice import build_lattice
+from titskit.lattice import FlatLattice, IndexOutOfRange, build_lattice
 from titskit.scalars import Poly, T, binom_poly
 from titskit.tits import chamber_sum, is_characteristic, multiply
 
@@ -220,6 +220,31 @@ def test_deletion_restriction_everywhere():
             if rep.rank_ok:
                 assert rep.identity_ok and rep.transport_ok, (name, h)
             assert rep.chi_full == lat.charpoly()
+
+
+def test_deletion_restriction_index_out_of_range():
+    arr, faces, lat = get_trio("braid3")
+    for h in (arr.m, -1):
+        with pytest.raises(IndexOutOfRange):
+            verify_deletion_restriction(arr, faces, lat, h)
+
+
+@pytest.mark.parametrize("name", ["braid4", "parallel+"])
+def test_deletion_restriction_on_two_lattices_of_one_face_set(name):
+    # the same flats with every rank listed backwards and no face map: the
+    # flat indices differ, so cached support sums must follow the lattice
+    # (on parallel+ the hyperplanes' support sums differ)
+    arr, faces, lat = get_trio(name)
+    ranks = sorted({f.rank for f in lat.flats})
+    flipped = FlatLattice(arr, [
+        f for r in ranks for f in reversed([g for g in lat.flats if g.rank == r])
+    ])
+    assert flipped.flats != lat.flats
+    for h in range(arr.m):
+        for a, b in ((lat, flipped), (flipped, lat)):
+            rep = verify_deletion_restriction(arr, faces, a, h)
+            assert rep == verify_deletion_restriction(arr, faces, b, h)
+            assert rep.ok or not rep.rank_ok
 
 
 def test_deletion_rank_drop_reported():

@@ -3,8 +3,10 @@ dimensions of the faces against the rank-based construction in `oracles`,
 its order, joins and Mobius function against the cubic scans there, and
 its characters against a scan of the element per flat, for the full
 arrangement and for every deletion, on random small rational arrangements
-of each kind; and the deletion-restriction check through one restriction
-map against the two-map check in `oracles`, for every hyperplane."""
+of each kind; every deletion's lattice, read off the flats, against the
+one built from the images of the faces; and the deletion-restriction
+check through one restriction map against the two-map check in
+`oracles`, for every hyperplane."""
 
 from dataclasses import fields
 from fractions import Fraction
@@ -21,6 +23,7 @@ from titskit.tits import is_characteristic, takeuchi_element, unit_element
 from oracles import (
     build_lattice_rank,
     characters_scan,
+    deletion_lattice_images,
     deletion_lattice_rank,
     mobius_table,
     validate_graded,
@@ -72,10 +75,8 @@ def test_lattice_matches_rank_oracle(kind, data):
     oracle = build_lattice_rank(arr, faces)
     _assert_same_flats(lat, oracle, faces)
     assert lat.face_support == oracle.face_support
-    # a deletion's flat dims must not depend on the order of the faces
-    reordered = FlatLattice(
-        arr, lat.flats, dict(reversed(lat.face_support.items()))
-    )
+    # a deletion reads the flats alone, not the face map
+    bare = FlatLattice(arr, lat.flats)
     for h in range(arr.m):
         fmap, dlat = deletion_lattice(arr, lat, h)
         sub = fmap.target
@@ -84,8 +85,47 @@ def test_lattice_matches_rank_oracle(kind, data):
         sub_faces = enumerate_faces(sub)
         _assert_same_flats(dlat, oracle_dlat, sub_faces)
         rebuilt = build_lattice(sub, sub_faces)
-        assert dlat.face_support == rebuilt.face_support
-        assert deletion_lattice(arr, reordered, h)[1].flats == dlat.flats
+        # the deletion resolves each of its faces on first lookup
+        for signs, x in rebuilt.face_support.items():
+            assert dlat.face_support[signs] == x
+        assert deletion_lattice(arr, bare, h)[1].flats == dlat.flats
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_deletion_lattice_matches_face_image_oracle(kind, data):
+    """Every deletion's lattice, read off the flats, against the one built
+    from the images of every face and the one built by rank; also from a
+    lattice without a face map, which the face-image build cannot use."""
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    bare = FlatLattice(arr, lat.flats)
+    assert dict(bare.face_support) == {}
+    by_rank_full = build_lattice_rank(arr, faces)
+    for h in range(arr.m):
+        fmap, dlat = deletion_lattice(arr, lat, h)
+        image_map, by_images = deletion_lattice_images(arr, lat, h)
+        _, by_rank = deletion_lattice_rank(arr, by_rank_full, h)
+        assert fmap.indices == image_map.indices
+        for oracle in (by_images, by_rank):
+            assert dlat.flats == oracle.flats  # closure, dim, rank and order
+            assert dlat.d == oracle.d
+            assert dlat.rank_top() == oracle.rank_top()
+            assert [dlat.mobius(x, dlat.top) for x in range(len(dlat))] == [
+                oracle.mobius(x, oracle.top) for x in range(len(oracle))
+            ]
+            assert dlat.charpoly() == oracle.charpoly()
+        rebuilt = build_lattice(fmap.target, enumerate_faces(fmap.target))
+        assert set(by_images.face_support) == set(rebuilt.face_support)
+        for signs, x in rebuilt.face_support.items():
+            assert dlat.face_support[signs] == x
+            assert by_images.face_support[signs] == x
+        from_bare = deletion_lattice(arr, bare, h)[1]
+        assert from_bare.flats == dlat.flats
+        for signs, x in rebuilt.face_support.items():
+            assert from_bare.face_support[signs] == x
 
 
 @pytest.mark.parametrize("kind", KINDS)

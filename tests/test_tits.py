@@ -207,6 +207,23 @@ def test_unit_and_takeuchi_are_characteristic():
         ).ok
 
 
+def test_characteristic_entries_follow_the_parameter_type():
+    # matched entries come from a table per lattice and parameter; 1,
+    # Fraction(1) and 1.0 are equal and hash alike, yet each report holds
+    # powers of its own parameter, as a fresh t ** rank would be
+    _, faces, lat = get_trio("braid3")
+    u = unit_element(faces)
+    for t in (1, Fraction(1), 1.0, 1, Poly((1,))):
+        rep = is_characteristic(lat, u, t)
+        assert rep.ok
+        for x, chi, expected, dev in rep.entries:
+            assert type(chi) is type(expected) is type(t ** lat.flat(x).rank)
+            assert expected == t ** lat.flat(x).rank and dev == 0
+    assert is_characteristic(lat, u, 1).entries[0] is is_characteristic(
+        lat, u, 1
+    ).entries[0]
+
+
 def test_takeuchi_squares_to_unit():
     for name in ["braid3", "coord2", "triangle", "parallel"]:
         _, faces, _ = get_trio(name)
@@ -244,9 +261,13 @@ def test_q_basis_orthogonal_idempotents():
             for y, qy in q.items():
                 prod = flat_multiply(lat, qx, qy)
                 assert prod == (qx if x == y else {})
-        # the rows are the lattice's own Mobius rows, so they are read-only
+        # the rows are the lattice's own Mobius rows, so they are read-only,
+        # and so is the one mapping that every call returns
         with pytest.raises(TypeError):
             q[lat.top][lat.top] = 0
+        with pytest.raises(TypeError):
+            q[lat.top] = {}
+        assert q_basis(lat) is q
         # completeness: the sum acts as the unit of the flat algebra
         total = {}
         for qx in q.values():

@@ -3,7 +3,9 @@ product in `oracles`, the flat-algebra product and Kung's identity
 against their pairwise loops, the pushforward and support sums against
 running sums of the scalars, and the characteristic polynomials of every
 flat against sums of polynomials, on random small rational arrangements
-of each kind and on the named arrangements."""
+of each kind and on the named arrangements; the flat product on join rows
+also against the above-set kernel it replaced, out-of-range keys
+included."""
 
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from titskit.elements import adams_a, verify_kung
 from titskit.geometry import FaceSet, enumerate_faces
 from titskit.lattice import (
+    IndexOutOfRange,
     build_lattice,
     charpoly_over,
     charpoly_under,
@@ -39,6 +42,7 @@ from oracles import (
     characters_scan,
     charpoly_over_sum,
     charpoly_under_sum,
+    flat_multiply_masks,
     flat_multiply_pairs,
     kung_pairs,
     multiply_pairs,
@@ -176,6 +180,71 @@ def test_flat_product_scalars_and_cancellation(kind, data):
     u = {x: Fraction(1), z: data.draw(_fractions)}
     assert flat_multiply(lat, u, v) == flat_multiply_pairs(lat, u, v)
     assert flat_multiply(lat, {x: 1}, v) == {}
+
+
+def _flat_products(lat, u, v):
+    """flat_multiply and the mask kernel, each result or IndexOutOfRange."""
+    out = []
+    for kernel in (flat_multiply, flat_multiply_masks):
+        try:
+            out.append(kernel(lat, u, v))
+        except IndexOutOfRange:
+            out.append(IndexOutOfRange)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_flat_product_matches_mask_kernel(kind, data):
+    """The same pushes in the same order as the above-set kernel, so float
+    results agree bit for bit; zero coefficients, empty operands, keys out
+    of range in either operand, also after a cancelled push."""
+    arr = data.draw(arrangements(kind))
+    lat = build_lattice(arr, enumerate_faces(arr))
+    n = len(lat)
+    for scalar in SCALARS:
+        flats = st.dictionaries(
+            st.integers(-2, n + 1), SCALARS[scalar] | st.just(0), max_size=6
+        )
+        u, v = data.draw(flats), data.draw(flats)
+        got, old = _flat_products(lat, u, v)
+        assert got == old
+        nonzero = [x for w in (u, v) for x, c in w.items() if c != 0]
+        if all(0 <= x < n for x in nonzero):
+            assert got != IndexOutOfRange
+            if scalar != "float":
+                assert got == flat_multiply_pairs(lat, u, v)
+            for w in (u, v):
+                assert _flat_products(lat, w, {}) == [{}, {}]
+                assert _flat_products(lat, {}, w) == [{}, {}]
+        else:
+            assert got == IndexOutOfRange
+    # H_x (H_y - H_{x join y}) = 0: the push at x cancels before a bad key
+    x, y = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    cancels = {y: 1}
+    cancels[lat.join(x, y)] = cancels.get(lat.join(x, y), 0) - 1
+    for bad in (-1, n):
+        for u, v in (({x: 1, bad: 1}, cancels), ({x: 1}, {**cancels, bad: 1})):
+            assert _flat_products(lat, u, v) == [IndexOutOfRange] * 2
+        zero = {x: 1, bad: 0}
+        assert _flat_products(lat, zero, cancels) == [{}, {}]
+
+
+@pytest.mark.parametrize("name", ["triangle", "parallel", "parallel+"])
+def test_flat_product_without_a_bottom(name):
+    """Affine lattices without a bottom: the Q basis products and every
+    pair of basis flats, against both kernels."""
+    _, _, lat = get_trio(name)
+    q = q_basis(lat)
+    for qx in q.values():
+        for qy in q.values():
+            got = flat_multiply(lat, qx, qy)
+            assert got == flat_multiply_masks(lat, qx, qy)
+            assert got == flat_multiply_pairs(lat, qx, qy)
+    for x in range(len(lat)):
+        for y in range(len(lat)):
+            assert flat_multiply(lat, {x: 1}, {y: 1}) == {lat.join(x, y): 1}
 
 
 @pytest.mark.parametrize("kind", KINDS)
