@@ -5,11 +5,16 @@ nonzero entry positive), so equality of hyperplanes is structural equality.
 Faces are the relatively open cells of the induced decomposition of R^n,
 identified with their sign vectors over the hyperplane list.  Enumeration
 uses no LP: hyperplane j is lifted to (a_j, -b_j) in Q^(n+1), x0 = 0 is
-added as index m, and the faces are the covectors with x0 = + in the
-closure of the cocircuits under the Tits product, composed as (pos, neg)
-bitmasks.  A face's witness is the sum of the cocircuit vectors
-conformally below it, divided by its x0 entry; the face is essentially
-bounded when none of those cocircuits lies at infinity (x0 = 0).
+added as index m, and the faces are the covectors with x0 = +.  Each is
+the conformal composition of the cocircuits below it, so the faces are
+the closure of the cocircuits with x0 = + under conformal composition,
+as (pos, neg) bitmasks, and no covector at infinity is built.  Per-row
+bitmasks over the cocircuits give a face's conformal cocircuits as one
+AND per row.  A face's witness is the sum of their vectors, divided by
+its x0 entry.  It is checked by linearity: its dot products with the rows
+are the sums of theirs, computed once per cocircuit.  The face is
+essentially bounded when none of its cocircuits lies at infinity
+(x0 = 0).
 """
 
 from __future__ import annotations
@@ -146,7 +151,13 @@ def arrangement_from_json(data, kind="file", params=None):
     if not isinstance(data, dict):
         raise ValueError("expected an object with 'dim' and 'hyperplanes'")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        # int() would truncate 2.7 and read true as 1
+        if isinstance(dim, bool) or (
+            isinstance(dim, float) and not dim.is_integer()
+        ):
+            raise ValueError
+        dim = int(dim)
     except (KeyError, OverflowError, TypeError, ValueError):
         raise ValueError("'dim' must be an integer") from None
     try:
@@ -265,15 +276,19 @@ def _lift(arr):
     return rows
 
 
-def _sign_masks(rows, v):
+def _signs_of(dots):
+    """(pos, neg): the masks of the entries that are > 0 and < 0."""
     pos = neg = 0
-    for j, row in enumerate(rows):
-        s = _idot(row, v)
+    for j, s in enumerate(dots):
         if s > 0:
             pos |= 1 << j
         elif s < 0:
             neg |= 1 << j
     return pos, neg
+
+
+def _sign_masks(rows, v):
+    return _signs_of([_idot(row, v) for row in rows])
 
 
 def _cut(basis, row):
@@ -292,7 +307,8 @@ def _cut(basis, row):
 
 def _cocircuits(rows):
     """Both orientations of every cocircuit of the row configuration, as
-    (pos mask, neg mask, primitive integer vector).
+    (pos mask, neg mask, primitive integer vector, its dot products with
+    the rows).
 
     There is one cocircuit pair per flat of rank r - 1.  Flats are closed
     rank by rank: each flat is a closure mask with a basis of the subspace
@@ -319,28 +335,68 @@ def _cocircuits(rows):
     out = []
     for basis in level.values():
         y = next(b for b in basis if any(_idot(row, b) for row in rows))
-        for v in (y, tuple([-c for c in y])):
-            out.append(_sign_masks(rows, v) + (v,))
+        dots = tuple([_idot(row, y) for row in rows])
+        pos, neg = _signs_of(dots)
+        out.append((pos, neg, y, dots))
+        out.append((neg, pos, tuple([-c for c in y]), tuple([-d for d in dots])))
     return out
 
 
-def _covectors(cocircuits, x0):
-    """Closure of the zero covector under composition with cocircuits,
-    dropping every covector with x0 = -.  Each covector is a composition of
-    cocircuits conformal to it, so this still reaches every covector with
-    x0 in {0, +}."""
-    x0_neg = 1 << x0
-    seen = {(0, 0)}
-    work = [(0, 0)]
+def _row_masks(cocircuits, nrows):
+    """For each row j, (zero, nonneg, nonpos): the bitmasks over the
+    cocircuits that are 0, >= 0 and <= 0 at j."""
+    pos = [0] * nrows
+    neg = [0] * nrows
+    for i, c in enumerate(cocircuits):
+        for j in _bits(c[0]):
+            pos[j] |= 1 << i
+        for j in _bits(c[1]):
+            neg[j] |= 1 << i
+    full = (1 << len(cocircuits)) - 1
+    return [(full & ~(p | q), full & ~q, full & ~p) for p, q in zip(pos, neg)]
+
+
+def _conformal(masks, full, p, q):
+    """(conformal, inside): the bitmasks over the cocircuits (full is all
+    of them) that have no sign opposite to the covector (p, q), and that
+    are 0 wherever it is 0.  Those in both lie conformally below it."""
+    conformal = inside = full
+    for j, (zero, nonneg, nonpos) in enumerate(masks):
+        if p >> j & 1:
+            conformal &= nonneg
+        elif q >> j & 1:
+            conformal &= nonpos
+        else:
+            inside &= zero
+    return conformal, inside
+
+
+def _covectors(cocircuits, nrows, start):
+    """The covectors conformally above a start covector, each mapped to
+    the bitmask of the cocircuits conformally below it.
+
+    A covector X is composed with a cocircuit C only when C has no sign
+    opposite to X and adds to X's support; then X.C = (X.pos | C.pos,
+    X.neg | C.neg).  Every covector is the conformal composition, in any
+    order, of the cocircuits below it (Bjorner et al., Oriented
+    Matroids), so these steps reach every covector above a start
+    covector.  From the zero covector that is every covector.
+    """
+    masks = _row_masks(cocircuits, nrows)
+    full = (1 << len(cocircuits)) - 1
+    below = dict.fromkeys(start, 0)
+    work = list(below)
     while work:
-        p, q = work.pop()
-        zero = ~(p | q)
-        for cp, cq, _ in cocircuits:
-            x = (p | (cp & zero), q | (cq & zero))
-            if not x[1] & x0_neg and x not in seen:
-                seen.add(x)
-                work.append(x)
-    return seen
+        x = work.pop()
+        p, q = x
+        conformal, inside = _conformal(masks, full, p, q)
+        below[x] = conformal & inside
+        for i in _bits(conformal & ~inside):
+            y = (p | cocircuits[i][0], q | cocircuits[i][1])
+            if y not in below:
+                below[y] = 0
+                work.append(y)
+    return below
 
 
 def _line(row):
@@ -354,23 +410,26 @@ def _line(row):
 @lru_cache(maxsize=256)
 def _line_cocircuits(lines):
     """Cocircuits, in both orientations, of the configuration of a sorted
-    tuple of distinct lines, with masks over the lines."""
-    return tuple(_cocircuits(list(lines)))
+    tuple of distinct lines, with masks over the lines, and the row masks
+    of the lines (_row_masks)."""
+    cocircuits = _cocircuits(list(lines))
+    return tuple(cocircuits), _row_masks(cocircuits, len(lines))
 
 
 def _cone_rays(cone):
     """The rays of a homogeneous cone modulo its lineality space, as
     (pos, neg, vector) with masks over its rows, equalities first and then
     inequalities: the cocircuits that are 0 on every equality and nowhere
-    -.  Their closure under composition (_covectors) is one covector per
-    face, the sign vector of its relative interior.  The cocircuit vectors
-    depend only on the lines the rows span, so all recession cones of one
-    arrangement share one cocircuit search.  Over those lines the cone is
-    one sign vector, 0 on a line that carries an equality or inequalities
-    of both signs, and its rays are the line cocircuits conformally below
-    it (_below).  A zero row is 0 on every point, so it is active on every
-    face; it stays out of that search, whose cuts need a row that is not
-    orthogonal to the basis.
+    -.  Their closure under conformal composition from the zero covector
+    (_covectors) is one covector per face, the sign vector of its relative
+    interior.  The cocircuit vectors depend only on the lines the rows
+    span, so all recession cones of one arrangement share one cocircuit
+    search.  Over those lines the cone is one sign vector, 0 on a line
+    that carries an equality or inequalities of both signs, and its rays
+    are the line cocircuits conformally below it, read from the lines'
+    row masks (_conformal) in the order of the search.  A zero row is 0 on
+    every point, so it is active on every face; it stays out of that
+    search, whose cuts need a row that is not orthogonal to the basis.
     """
     rows = list(cone.equalities) + list(cone.inequalities)
     n_eq = len(cone.equalities)
@@ -380,37 +439,38 @@ def _cone_rays(cone):
             line = _line(row)
             s = 0 if j < n_eq else 1 if _idot(row, line) > 0 else -1
             signs[line] = s if signs.get(line, s) == s else 0
+    if not signs:
+        return []
     lines = sorted(signs)
     pos = sum(1 << k for k, line in enumerate(lines) if signs[line] > 0)
     neg = sum(1 << k for k, line in enumerate(lines) if signs[line] < 0)
-    below = _below(_line_cocircuits(tuple(lines)), pos, neg) if lines else []
-    return [_sign_masks(rows, v) + (v,) for _, _, v in below]
-
-
-def _below(cocircuits, p, q):
-    return [c for c in cocircuits if not (c[0] & ~p or c[1] & ~q)]
-
-
-def _bounded(below, x0):
-    """No cocircuit at infinity (x0 = 0) lies conformally below the face."""
-    return all(cp >> x0 & 1 for cp, _, _ in below)
+    cocircuits, masks = _line_cocircuits(tuple(lines))
+    conformal, inside = _conformal(masks, (1 << len(cocircuits)) - 1, pos, neg)
+    rays = [cocircuits[i][2] for i in _bits(conformal & inside)]
+    return [_sign_masks(rows, v) + (v,) for v in rays]
 
 
 def enumerate_faces(arr):
     """All faces of the arrangement, as the covectors with x0 = + of the
-    homogenized arrangement."""
+    homogenized arrangement.  Each lies conformally above a cocircuit with
+    x0 = +, so the closure starts from those and never builds a covector
+    at infinity.  A face's witness is checked by linearity: its dot
+    products with the rows are the sums of its cocircuits' dots."""
     m, n = arr.m, arr.dim
     rows = _lift(arr)
     cocircuits = _cocircuits(rows)
+    start = [c[:2] for c in cocircuits if c[0] >> m & 1]
+    at_infinity = sum(
+        [1 << i for i, c in enumerate(cocircuits) if not (c[0] | c[1]) >> m & 1]
+    )
+    extended = [v + dots for _, _, v, dots in cocircuits]
     hulls = {}
     faces = []
-    for p, q in _covectors(cocircuits, m):
-        if not p >> m & 1:
-            continue
-        below = _below(cocircuits, p, q)
-        y = [sum(col) for col in zip(*[v for _, _, v in below])]
+    for (p, q), below in _covectors(cocircuits, m + 1, start).items():
+        total = [sum(col) for col in zip(*[extended[i] for i in _bits(below)])]
+        y, dots = total[: n + 1], total[n + 1 :]
         signs = tuple([(p >> j & 1) - (q >> j & 1) for j in range(m)])
-        if _sign_masks(rows, y) != (p, q):
+        if _signs_of(dots) != (p, q):
             raise WitnessMismatch(
                 f"witness of {signs_to_str(signs)} lies in another face"
             )
@@ -423,7 +483,7 @@ def enumerate_faces(arr):
                 signs=signs,
                 witness=tuple([Fraction(c, y[n]) for c in y[:n]]),
                 dim=len(hulls[zero]),
-                essentially_bounded=_bounded(below, m),
+                essentially_bounded=not below & at_infinity,
                 hull_basis=hulls[zero],
             )
         )

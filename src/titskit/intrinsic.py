@@ -23,9 +23,9 @@ Two evaluation paths:
 A cone's faces and rays come from the covectors of its own rows, not from
 an LP per subset of inequalities: the rays are the cocircuits that are 0 on
 the equalities and nowhere negative (geometry._cone_rays), and the faces
-are their closure under composition.  Every projection onto a subspace
-cut out by some of the rows (a face span, or the lineality space) comes
-from one cache keyed by the lines of those rows (_complement), so all
+are their closure under conformal composition.  Every projection onto a
+subspace cut out by some of the rows (a face span, or the lineality space)
+comes from one cache keyed by the lines of those rows (_complement), so all
 recession cones of one arrangement project once per flat; the cache holds
 each projection also as an integer matrix over its denominator.
 
@@ -98,14 +98,15 @@ def cone_faces(cone):
     """All faces of the cone, each with its exact active set.
 
     The faces are the covectors of the cone's own rows: the closure of its
-    rays (geometry._cone_rays) under composition.  A face's active set is
-    where its covector is 0, and its span is orthogonal to the equalities
-    and the active rows.  Sorted largest active set first.
+    rays (geometry._cone_rays) under conformal composition, from the zero
+    covector (geometry._covectors).  A face's active set is where its
+    covector is 0, and its span is orthogonal to the equalities and the
+    active rows.  Sorted largest active set first.
     """
     neq = len(cone.equalities)
     rows = list(cone.equalities) + list(cone.inequalities)
     out = []
-    for p, _ in _covectors(_cone_rays(cone), len(rows)):
+    for p, _ in _covectors(_cone_rays(cone), len(rows), [(0, 0)]):
         active = [
             i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
         ]
@@ -128,6 +129,8 @@ class ConicVolumeProfile:
     seed: int | None = None
 
     def essential_values(self, lineality_dim):
+        """v_l..v_n for a lineality space of dimension l: the profile of
+        the cone modulo it.  Public API; the library reads values."""
         return self.values[lineality_dim:]
 
     def total(self):

@@ -53,7 +53,9 @@ def _eliminate(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form over Fraction, each pivot 1; returns
+    (rows, pivot_columns).  Public API: the library itself reads
+    _eliminate's integer rows."""
     m, pivots = _eliminate(rows)
     scale = [row[c] for row, c in zip(m, pivots)]
     scale += [1] * (len(m) - len(pivots))

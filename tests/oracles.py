@@ -6,6 +6,15 @@ one LP; both are kept as they were before face enumeration moved to the
 cocircuit closure in `titskit.geometry`.  `witness_support_closure` is the
 support closure computed from a face's witness and hull basis.
 
+`covectors_all` (the closure of the zero covector under composition with
+every cocircuit), `below_scan` (a face's conformal cocircuits by a scan
+of all of them) and `enumerate_faces_closure` (each witness checked with
+one dot product per row) are face enumeration as it was before
+`titskit.geometry` composed only conformally from the cocircuits with
+x0 = +, read below-sets from per-row sign masks and checked witnesses by
+linearity; `cone_rays_below` and `cone_faces_closure` are the rays and
+faces of a cone built the same way.
+
 `build_lattice_rank` and `deletion_lattice_rank` give each flat the
 dimension of the intersection of its hyperplanes by exact rank, and d the
 dimension of the lineality space; they are kept as they were before the
@@ -83,8 +92,15 @@ from titskit.geometry import (
     ArrangementMismatch,
     Face,
     FaceSet,
+    WitnessMismatch,
+    _bits,
+    _cocircuits,
     _cone_rays,
+    _lift,
+    _line,
+    _sign_masks,
     lineality_space,
+    signs_to_str,
 )
 from titskit.intrinsic import (
     ConeFace,
@@ -102,7 +118,7 @@ from titskit.lattice import (
     subarrangement_map,
     support_closure,
 )
-from titskit.linalg import common_denominator, dot, matrix_rank, nullspace
+from titskit.linalg import _idot, common_denominator, dot, matrix_rank, nullspace
 from titskit.lp import lp_feasible
 from titskit.scalars import Poly, T
 from titskit.tits import (
@@ -324,6 +340,102 @@ def witness_support_closure(arr, face):
         if all(dot(h.normal, v) == 0 for v in face.hull_basis):
             out.append(j)
     return frozenset(out)
+
+
+def covectors_all(cocircuits, x0):
+    """Closure of the zero covector under composition with every
+    cocircuit, dropping every covector with x0 = -; x0 past the last row
+    drops nothing."""
+    x0_neg = 1 << x0
+    seen = {(0, 0)}
+    work = [(0, 0)]
+    while work:
+        p, q = work.pop()
+        zero = ~(p | q)
+        for cp, cq, *_ in cocircuits:
+            x = (p | (cp & zero), q | (cq & zero))
+            if not x[1] & x0_neg and x not in seen:
+                seen.add(x)
+                work.append(x)
+    return seen
+
+
+def below_scan(cocircuits, p, q):
+    """The cocircuits conformally below (p, q), by a scan of all of them."""
+    return [c for c in cocircuits if not (c[0] & ~p or c[1] & ~q)]
+
+
+def enumerate_faces_closure(arr):
+    """All faces of the arrangement from the all-cocircuit closure, each
+    witness checked with one dot product per row."""
+    m, n = arr.m, arr.dim
+    rows = _lift(arr)
+    cocircuits = [c[:3] for c in _cocircuits(rows)]
+    hulls = {}
+    faces = []
+    for p, q in covectors_all(cocircuits, m):
+        if not p >> m & 1:
+            continue
+        below = below_scan(cocircuits, p, q)
+        y = [sum(col) for col in zip(*[v for _, _, v in below])]
+        signs = tuple([(p >> j & 1) - (q >> j & 1) for j in range(m)])
+        if _sign_masks(rows, y) != (p, q):
+            raise WitnessMismatch(
+                f"witness of {signs_to_str(signs)} lies in another face"
+            )
+        zero = ~(p | q) & ((1 << m) - 1)
+        if zero not in hulls:
+            normals = [arr.hyperplanes[j].normal for j in _bits(zero)]
+            hulls[zero] = tuple(nullspace(normals, n))
+        faces.append(
+            Face(
+                signs=signs,
+                witness=tuple([Fraction(c, y[n]) for c in y[:n]]),
+                dim=len(hulls[zero]),
+                essentially_bounded=all(cp >> m & 1 for cp, _, _ in below),
+                hull_basis=hulls[zero],
+            )
+        )
+    return FaceSet(arr, faces)
+
+
+def cone_rays_below(cone):
+    """The rays of a homogeneous cone modulo its lineality space, as
+    (pos, neg, vector) over its rows: the cocircuits of the lines of its
+    rows that lie conformally below the cone's sign vector over the lines,
+    found by a scan."""
+    rows = list(cone.equalities) + list(cone.inequalities)
+    n_eq = len(cone.equalities)
+    signs = {}
+    for j, row in enumerate(rows):
+        if any(row):
+            line = _line(row)
+            s = 0 if j < n_eq else 1 if _idot(row, line) > 0 else -1
+            signs[line] = s if signs.get(line, s) == s else 0
+    lines = sorted(signs)
+    pos = sum(1 << k for k, line in enumerate(lines) if signs[line] > 0)
+    neg = sum(1 << k for k, line in enumerate(lines) if signs[line] < 0)
+    cocircuits = [c[:3] for c in _cocircuits(lines)] if lines else []
+    below = below_scan(cocircuits, pos, neg)
+    return [_sign_masks(rows, v) + (v,) for _, _, v in below]
+
+
+def cone_faces_closure(cone):
+    """All faces of the cone from the all-cocircuit closure of its rays,
+    sorted largest active set first."""
+    neq = len(cone.equalities)
+    rows = list(cone.equalities) + list(cone.inequalities)
+    out = []
+    for p, _ in covectors_all(cone_rays_below(cone), len(rows)):
+        active = [
+            i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
+        ]
+        proj, dim, _, _ = _complement(
+            rows[:neq] + [cone.inequalities[i] for i in active], cone.dim
+        )
+        out.append(ConeFace(active=frozenset(active), dim=dim, proj=proj))
+    out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
+    return out
 
 
 def _flats_from_closures(arr, closures, d):

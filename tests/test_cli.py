@@ -274,6 +274,22 @@ def test_library_builds_no_tuple_from_a_generator():
     assert found == []
 
 
+def test_library_holds_no_assert():
+    # the library's checks are explicit raises, so they hold under
+    # python -O; lp.py is a test oracle not yet moved out of src/
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "titskit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "lp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_failing_check_exits_1(capsys, monkeypatch):
     def fake(arr, faces, lattice, args):
         return {}, [{"name": "forced", "ok": False}], ["boom"], {}
@@ -337,6 +353,23 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit):
             main(["charpoly", "--file", str(path)])
         assert f"error: {path}: {field}" in capsys.readouterr().err
+
+
+def test_fractional_or_boolean_dim_is_rejected(capsys, tmp_path):
+    # int() would run dim 2.7 as 2 and dim true as 1
+    for raw in ("2.7", "true", "-1.5"):
+        path = tmp_path / "dim.json"
+        path.write_text('{"dim": %s, "hyperplanes": [{"normal": [1, 0]}]}' % raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["charpoly", "--file", str(path)])
+        assert exc.value.code == 2, raw
+        assert f"error: {path}: 'dim' must be an integer" in capsys.readouterr().err
+    # integers and integer strings still read
+    for raw in ("2", '"2"', "2.0"):
+        path = tmp_path / "dim.json"
+        path.write_text('{"dim": %s, "hyperplanes": [{"normal": [1, 0]}]}' % raw)
+        assert main(["charpoly", "--file", str(path)]) == 0, raw
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", [["verify", "all"], ["intrinsic"]])

@@ -1,6 +1,9 @@
 """Differential tests: the cocircuit-closure face enumeration against the
 incremental LP enumerator in `oracles`, on random small rational
-arrangements of each kind."""
+arrangements of each kind; and the conformal closure, its below-sets, its
+witness check and the cocircuits' dot rows against the all-cocircuit
+closure in `oracles`, on those arrangements and on braid, signed-braid
+and coordinate arrangements."""
 
 from fractions import Fraction
 
@@ -8,15 +11,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from titskit.elements import (
+    braid_arrangement,
+    coordinate_arrangement,
+    signed_braid_arrangement,
+)
 from titskit.geometry import (
     Arrangement,
     NotAFace,
+    _bits,
+    _cocircuits,
+    _cone_rays,
+    _covectors,
+    _lift,
     canonicalize,
     enumerate_faces,
+    recession_cone,
 )
-from titskit.linalg import matrix_rank
+from titskit.intrinsic import cone_faces
+from titskit.linalg import _idot, matrix_rank
 
-from oracles import enumerate_faces_lp
+from oracles import (
+    below_scan,
+    cone_faces_closure,
+    cone_rays_below,
+    covectors_all,
+    enumerate_faces_closure,
+    enumerate_faces_lp,
+)
 
 KINDS = ("central", "affine", "parallel", "non-essential", "empty")
 
@@ -70,3 +92,52 @@ def test_enumeration_matches_lp_oracle(kind, data):
         else:
             with pytest.raises(NotAFace):
                 faces.face(candidate)
+
+
+FAMILIES = {
+    "braid": st.builds(braid_arrangement, st.integers(2, 5)),
+    "signed": st.builds(signed_braid_arrangement, st.integers(1, 3)),
+    "coordinate": st.builds(coordinate_arrangement, st.integers(1, 5)),
+}
+
+
+def _records(faces):
+    return [
+        (f.signs, f.witness, f.dim, f.essentially_bounded, f.hull_basis)
+        for f in faces
+    ]
+
+
+@pytest.mark.parametrize("kind", KINDS + tuple(FAMILIES))
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_conformal_closure_matches_all_cocircuit_oracle(kind, data):
+    arr = data.draw(FAMILIES[kind] if kind in FAMILIES else arrangements(kind))
+    m = arr.m
+    rows = _lift(arr)
+    cocircuits = _cocircuits(rows)
+    oracle = [c[:3] for c in cocircuits]
+    for _, _, v, dots in cocircuits:
+        assert list(dots) == [_idot(row, v) for row in rows]
+    # from the zero covector the closure is every covector; from the
+    # cocircuits with x0 = + it is the faces, each with its below-set
+    everything = _covectors(cocircuits, m + 1, [(0, 0)])
+    assert set(everything) == covectors_all(oracle, m + 1)
+    start = [c[:2] for c in cocircuits if c[0] >> m & 1]
+    faces = _covectors(cocircuits, m + 1, start)
+    assert set(faces) == {x for x in covectors_all(oracle, m) if x[0] >> m & 1}
+    for (p, q), below in everything.items():
+        assert [cocircuits[i][:3] for i in _bits(below)] == below_scan(oracle, p, q)
+        assert faces.get((p, q), below) == below
+    assert _records(enumerate_faces(arr)) == _records(enumerate_faces_closure(arr))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_cone_faces_match_closure_oracle(kind, data):
+    arr = data.draw(arrangements(kind))
+    for f in enumerate_faces(arr):
+        cone = recession_cone(arr, f)
+        assert _cone_rays(cone) == cone_rays_below(cone)
+        assert cone_faces(cone) == cone_faces_closure(cone)

@@ -140,10 +140,33 @@ def test_face_witnesses_realize_signs():
 
 
 def test_wrong_witness_raises(monkeypatch):
-    # dropping a conformal cocircuit from each witness sum leaves the
-    # origin of braid3 without a witness; the check is not an assert
-    below = geometry._below
-    monkeypatch.setattr(geometry, "_below", lambda *args: below(*args)[1:])
+    # dropping a conformal cocircuit from each witness sum (the lowest bit
+    # of each below-set) leaves the origin of braid3 without a witness;
+    # the check is not an assert
+    covectors = geometry._covectors
+
+    def drop_one(*args):
+        return {x: below & (below - 1) for x, below in covectors(*args).items()}
+
+    monkeypatch.setattr(geometry, "_covectors", drop_one)
+    with pytest.raises(WitnessMismatch):
+        enumerate_faces(get_trio("braid3")[0])
+
+
+def test_wrong_dot_row_raises(monkeypatch):
+    # the witness check sums the cocircuits' precomputed dot rows; a wrong
+    # entry in the row of braid3's cocircuit with x0 = + (the origin) puts
+    # the origin's witness off a hyperplane it lies on
+    cocircuits = geometry._cocircuits
+
+    def corrupt(rows):
+        out = cocircuits(rows)
+        i = next(i for i, c in enumerate(out) if c[0] >> len(rows) - 1 & 1)
+        p, q, v, dots = out[i]
+        out[i] = (p, q, v, (dots[0] + 1,) + dots[1:])
+        return out
+
+    monkeypatch.setattr(geometry, "_cocircuits", corrupt)
     with pytest.raises(WitnessMismatch):
         enumerate_faces(get_trio("braid3")[0])
 
