@@ -27,7 +27,7 @@ are their closure under conformal composition.  Every projection onto a
 subspace cut out by some of the rows (a face span, or the lineality space)
 comes from one cache keyed by the lines of those rows (_complement), so all
 recession cones of one arrangement project once per flat; the cache holds
-each projection also as an integer matrix over its denominator.
+each projection as an integer matrix over its denominator.
 
 Each face's recession cone is profiled once, by intrinsic_element, into
 the table IntrinsicElement.profiles (face signs -> ConicVolumeProfile).
@@ -70,32 +70,31 @@ class PolygonMismatch(RuntimeError):
 class ConeFace:
     active: frozenset
     dim: int
-    proj: tuple  # n x n Fraction matrix, orthogonal projection onto the span
 
 
 def _complement(rows, n):
-    """(P, dim, den, den P) for the subspace of R^n orthogonal to every
-    row: P its exact orthogonal projection matrix, dim its dimension and den
-    P's denominator.  All depend only on the lines the rows span, so they
-    are cached by those lines."""
+    """(dim, den, den P) for the subspace of R^n orthogonal to every row:
+    dim its dimension and P its exact orthogonal projection matrix, held as
+    the integer matrix den P over P's denominator den.  Both depend only on
+    the lines the rows span, so they are cached by those lines."""
     lines = tuple(sorted({_line(r) for r in rows if any(r)}))
     return _line_complement(lines, n)
 
 
 @lru_cache(maxsize=1024)
 def _line_complement(lines, n):
-    p = projection_matrix(list(lines), n)
-    proj = tuple([
-        tuple([int(i == j) - c for j, c in enumerate(row)])
+    p = projection_matrix(list(lines), n)  # onto the span of the lines
+    den = common_denominator(c for row in p for c in row)
+    m = tuple([
+        tuple([den * (i == j) - int(c * den) for j, c in enumerate(row)])
         for i, row in enumerate(p)
     ])
-    den = common_denominator(c for row in proj for c in row)
-    m = tuple([tuple([int(c * den) for c in row]) for row in proj])
-    return proj, n - int(sum(p[i][i] for i in range(n))), den, m
+    return n - int(sum(p[i][i] for i in range(n))), den, m
 
 
 def cone_faces(cone):
-    """All faces of the cone, each with its exact active set.
+    """All faces of the cone, each with its exact active set and the
+    dimension of its span.
 
     The faces are the covectors of the cone's own rows: the closure of its
     rays (geometry._cone_rays) under conformal composition, from the zero
@@ -110,10 +109,10 @@ def cone_faces(cone):
         active = [
             i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
         ]
-        proj, dim, _, _ = _complement(
+        dim, _, _ = _complement(
             rows[:neq] + [cone.inequalities[i] for i in active], cone.dim
         )
-        out.append(ConeFace(active=frozenset(active), dim=dim, proj=proj))
+        out.append(ConeFace(active=frozenset(active), dim=dim))
     out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
     return out
 
@@ -169,7 +168,7 @@ def try_exact_profile(cone):
     v_(l+1) = sum (pi - d_i)/4pi and v_l = (2pi - sum t_i)/4pi.
     """
     n = cone.dim
-    _, ell, den, lin = _complement([*cone.equalities, *cone.inequalities], n)
+    ell, den, lin = _complement([*cone.equalities, *cone.inequalities], n)
     rays = _cone_rays(cone)
     us = [v for _, _, v in rays]
     # the rays projected off L, times den; lin = 0 and den = 1 when ell = 0
@@ -247,7 +246,7 @@ def _cells(cone):
     rays = [v for _, _, v in _cone_rays(cone)]
     cells = []
     for f in cone_faces(cone):
-        _, _, den, m = _complement(
+        _, den, m = _complement(
             list(cone.equalities) + [cone.inequalities[i] for i in f.active],
             cone.dim,
         )

@@ -23,7 +23,14 @@ from functools import reduce
 from operator import and_, itemgetter
 from types import MappingProxyType
 
-from .geometry import Arrangement, ArrangementMismatch, FaceSet, _bits
+from .geometry import (
+    Arrangement,
+    ArrangementMismatch,
+    FaceSet,
+    NotAFace,
+    _bits,
+    signs_to_str,
+)
 from .scalars import Poly
 
 
@@ -49,9 +56,14 @@ class Flat:
 
 
 class _FaceSupport(dict):
-    """Flat index by sign vector; a missing face maps by its zero set."""
+    """Flat index by sign vector.  Once it holds every face (build_lattice)
+    a miss is not a face; until then a sign vector maps by its zero set."""
+
+    complete = False
 
     def __missing__(self, signs):
+        if self.complete:
+            raise NotAFace(f"{signs_to_str(signs)} is not a face")
         zeros = frozenset(j for j, s in enumerate(signs) if s == 0)
         x = self[signs] = self.index[zeros]
         return x
@@ -186,12 +198,14 @@ def _lattice(arr, dims):
 
 def build_lattice(arr, faces):
     """Flat lattice of an arrangement: the zero sets of its faces, each
-    with the dimension of its faces; every face maps to its zero set."""
+    with the dimension of its faces; every face maps to its zero set, and
+    a sign vector that is not a face to NotAFace."""
     if not (isinstance(faces, FaceSet) and faces.arr is arr):
         raise ArrangementMismatch("build_lattice needs the FaceSet of arr")
     zeros = {f.signs: support_closure(arr, f) for f in faces}
     lat = _lattice(arr, ((zeros[f.signs], f.dim) for f in faces))
     lat.face_support.update({s: lat._index[c] for s, c in zeros.items()})
+    lat.face_support.complete = True
     return lat
 
 

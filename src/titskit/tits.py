@@ -161,6 +161,15 @@ def _faces_by_key(faces):
     return index
 
 
+def _face_key(by_key, signs, m):
+    """The packed key of one of the face set's sign vectors (by_key from
+    _faces_by_key); NotAFace for any other sign vector."""
+    key = _pack(signs, m)
+    if key not in by_key:
+        raise NotAFace(f"{signs_to_str(signs)} is not a face")
+    return key
+
+
 def _numerators(*coeffs):
     """Rational coefficient dicts as integer numerators over one common
     denominator: (den, dicts).  With a Poly or float coefficient anywhere
@@ -182,7 +191,9 @@ def _divided(sums, den):
 
 def multiply(faces, w, v):
     """Bilinear product of two Tits-algebra elements, star-factored: one
-    push of v per zero set of w's faces (see the module docstring)."""
+    push of v per zero set of w's faces (see the module docstring).  A key
+    of w or v that is not in the face set raises NotAFace, and a product
+    that is not, NotClosed."""
     if w.arr is not faces.arr or v.arr is not faces.arr:
         raise ArrangementMismatch("multiplying another arrangement's element")
     kw, kv = w.kind, v.kind
@@ -191,13 +202,14 @@ def multiply(faces, w, v):
     m = faces.arr.m
     full = (1 << m) - 1
     den, (wc, vc) = _numerators(w.coeffs, v.coeffs)
+    by_key = _faces_by_key(faces)
     terms = []
     for signs, c in wc.items():
-        f = _pack(signs, m)
+        f = _face_key(by_key, signs, m)
         z = full & ~(f | f >> m)  # F's zero set, masked on both halves
         terms.append((f, z | z << m, c))
     pushes = {}
-    source = [(_pack(signs, m), c) for signs, c in vc.items()]
+    source = [(_face_key(by_key, signs, m), c) for signs, c in vc.items()]
     # larger zero sets first, so each push can start from a coarser one
     for z in sorted(dict.fromkeys(z for _, z, _ in terms), key=int.bit_count,
                     reverse=True):
@@ -210,7 +222,6 @@ def multiply(faces, w, v):
     for f, z, cf in terms:
         for g, c in pushes[z]:
             out[f | g] = out.get(f | g, 0) + cf * c
-    by_key = _faces_by_key(faces)
     coeffs = {}
     for k, c in out.items():
         if not c:

@@ -59,10 +59,13 @@ rational coefficients as integer numerators over one common denominator.
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
 for the active-set multipliers with an LP) are kept as they were before
 cone faces moved to the covectors of the cone's rows in
-`titskit.intrinsic`.  Their face projections come from
-`projection_matrix_gram` (a row-reduced basis, its Gram matrix, then one
-solve per column), as `titskit.linalg.projection_matrix` was before it
-became one elimination of [B B^T | B].
+`titskit.intrinsic`.  Every oracle that projects, these and the ones
+below, computes its own projections and dimensions, sharing no code with
+the library's projection cache: `complement_gram` (and `face_projection`
+for a face of a cone) is `projection_matrix_gram` (a row-reduced basis,
+its Gram matrix, then one solve per column, as
+`titskit.linalg.projection_matrix` was before it became one elimination
+of [B B^T | B]) over a basis from `nullspace_rref`.
 
 `rref` (Gaussian elimination with exact Fraction pivots), `nullspace_rref`
 and `projection_matrix_rref` (both read off that rref), with `matvec`, are
@@ -83,6 +86,7 @@ each sample its face by sign tests on the faces' Moreau cells.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import acos, lcm, pi, sqrt
 
 from titskit import intrinsic
@@ -92,6 +96,7 @@ from titskit.geometry import (
     ArrangementMismatch,
     Face,
     FaceSet,
+    NotAFace,
     WitnessMismatch,
     _bits,
     _cocircuits,
@@ -107,7 +112,6 @@ from titskit.intrinsic import (
     ConicVolumeProfile,
     PolygonMismatch,
     ProjectionMismatch,
-    _complement,
     cone_faces,
 )
 from titskit.lattice import (
@@ -430,10 +434,9 @@ def cone_faces_closure(cone):
         active = [
             i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
         ]
-        proj, dim, _, _ = _complement(
-            rows[:neq] + [cone.inequalities[i] for i in active], cone.dim
-        )
-        out.append(ConeFace(active=frozenset(active), dim=dim, proj=proj))
+        span = rows[:neq] + [cone.inequalities[i] for i in active]
+        dim = len(nullspace_rref(span, cone.dim))
+        out.append(ConeFace(active=frozenset(active), dim=dim))
     out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
     return out
 
@@ -631,6 +634,9 @@ def characters_scan(flats, w):
 
 def multiply_pairs(faces, w, v):
     """w.v with one sign-vector composition per pair of faces."""
+    for s in (*w.coeffs, *v.coeffs):
+        if s not in faces:
+            raise NotAFace(f"{s} is not a face")
     out = {}
     for fs, cf in w.coeffs.items():
         for gs, cg in v.coeffs.items():
@@ -760,15 +766,8 @@ def cone_faces_lp(cone):
         span_rows = list(cone.equalities) + [
             cone.inequalities[i] for i in subset
         ]
-        basis = nullspace(span_rows, n)
-        proj = projection_matrix_gram(basis, n)
-        out.append(
-            ConeFace(
-                active=frozenset(subset),
-                dim=len(basis),
-                proj=tuple(tuple(row) for row in proj),
-            )
-        )
+        dim = len(nullspace_rref(span_rows, n))
+        out.append(ConeFace(active=frozenset(subset), dim=dim))
     out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
     return out
 
@@ -808,6 +807,20 @@ def projection_matrix_gram(vectors, n):
     return p
 
 
+@lru_cache(maxsize=1024)
+def complement_gram(rows, n):
+    """The orthogonal projection onto the subspace of R^n orthogonal to
+    every row of the tuple `rows`: projection_matrix_gram over a basis from
+    nullspace_rref."""
+    return projection_matrix_gram(nullspace_rref(list(rows), n), n)
+
+
+def face_projection(cone, face):
+    """The orthogonal projection onto the span of a face of the cone."""
+    active = [cone.inequalities[i] for i in sorted(face.active)]
+    return complement_gram(cone.equalities + tuple(active), cone.dim)
+
+
 def project_to_cone_lp(cone, point, faces=None):
     """Exact nearest point of the cone, with the face dimension it lies in.
 
@@ -823,7 +836,7 @@ def project_to_cone_lp(cone, point, faces=None):
         faces = cone_faces_lp(cone)
     best = None
     for face in faces:
-        q = matvec(face.proj, p)
+        q = matvec(face_projection(cone, face), p)
         if any(dot(a, q) < 0 for a in cone.inequalities):
             continue
         dist = sum((a - b) ** 2 for a, b in zip(p, q))
@@ -831,7 +844,7 @@ def project_to_cone_lp(cone, point, faces=None):
             best = (dist, face, q)
     _, face, q = best
     residual = tuple(a - b for a, b in zip(p, q))
-    assert all(c == 0 for c in matvec(face.proj, residual))
+    assert all(c == 0 for c in matvec(face_projection(cone, face), residual))
     assert all(dot(e, q) == 0 for e in cone.equalities)
     nvars = len(cone.equalities) + len(face.active)
     active = sorted(face.active)
@@ -878,8 +891,8 @@ def try_exact_profile_fraction(cone):
     rank by the Fraction rref, and every angle from their Fraction Gram
     matrix."""
     n = cone.dim
-    rows = list(cone.equalities) + list(cone.inequalities)
-    lin, ell = _complement(rows, n)[:2]
+    lin = complement_gram(cone.equalities + cone.inequalities, n)
+    ell = len(nullspace_rref(list(cone.equalities + cone.inequalities), n))
     rays = _cone_rays(cone)
     us = [v for _, _, v in rays]
     if ell:
@@ -954,7 +967,7 @@ def project_to_cone(cone, point, faces=None):
         faces = cone_faces(cone)
     best = None
     for face in faces:
-        q = matvec(face.proj, p)
+        q = matvec(face_projection(cone, face), p)
         if any(dot(a, q) < 0 for a in cone.inequalities):
             continue
         dist = sum((a - b) ** 2 for a, b in zip(p, q))
@@ -970,10 +983,9 @@ def project_to_cone(cone, point, faces=None):
             f"nearest point is not inside the face with active set {active}"
         )
     residual = tuple(a - b for a, b in zip(p, q))
-    if any(matvec(face.proj, residual)):
+    if any(matvec(face_projection(cone, face), residual)):
         raise ProjectionMismatch("residual is not orthogonal to the face")
-    rows = list(cone.equalities) + list(cone.inequalities)
-    lineality = _complement(rows, cone.dim)[0]
+    lineality = complement_gram(cone.equalities + cone.inequalities, cone.dim)
     if (
         dot(residual, q)
         or any(matvec(lineality, residual))
@@ -993,16 +1005,17 @@ def mc_profile_nearest(cone, samples, seed):
 
     n = cone.dim
     faces = cone_faces(cone)
+    projs = [face_projection(cone, f) for f in faces]
     den = 1
-    for f in faces:
-        for row in f.proj:
+    for proj in projs:
+        for row in proj:
             den = lcm(den, common_denominator(row))
     dtype = np.int64 if den < intrinsic._BIG else object
     mats = []
     diffs = []
-    for f in faces:
+    for proj in projs:
         m = np.array(
-            [[int(c * den) for c in row] for row in f.proj], dtype=dtype
+            [[int(c * den) for c in row] for row in proj], dtype=dtype
         )
         mats.append(m)
         diffs.append(den * np.eye(n, dtype=dtype) - m)

@@ -1,15 +1,17 @@
 """Differential tests: cone faces and implicit equalities from the covectors
 of the cone's rows, and the nearest-point classifier on those faces,
 against the LP versions in `oracles`, on random small cones and on
-recession cones of random arrangements."""
+recession cones of random arrangements; and the projection cache behind
+cone faces, exact profiles and Moreau cells against the Gram projection
+of every face span of those recession cones."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titskit.geometry import HomogeneousCone, enumerate_faces, recession_cone
-from titskit.intrinsic import cone_faces
-from titskit.linalg import projection_matrix
+from titskit.intrinsic import _complement, cone_faces
+from titskit.linalg import common_denominator, projection_matrix
 
 from oracles import (
     cone_faces_lp,
@@ -17,7 +19,9 @@ from oracles import (
     project_to_cone,
     project_to_cone_lp,
     projection_matrix_gram,
+    rref,
 )
+from test_enumeration_oracle import KINDS as ARRANGEMENT_KINDS
 from test_enumeration_oracle import arrangements
 
 KINDS = (
@@ -116,3 +120,28 @@ def test_projection_matrix_matches_gram_oracle(data):
     vec = st.lists(_coords, min_size=n, max_size=n).map(tuple)
     vectors = data.draw(st.lists(vec, max_size=5))
     assert projection_matrix(vectors, n) == projection_matrix_gram(vectors, n)
+
+
+@pytest.mark.parametrize("kind", ARRANGEMENT_KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_complement_matches_gram_oracle(kind, data):
+    # every face span of every recession cone, the lineality space (all
+    # inequalities active) included: n - rank and den (I - P_gram), with
+    # P_gram the projection onto the span of the rows
+    arr = data.draw(arrangements(kind))
+    n = arr.dim
+    for f in enumerate_faces(arr):
+        cone = recession_cone(arr, f)
+        for face in cone_faces(cone):
+            rows = list(cone.equalities) + [
+                cone.inequalities[i] for i in sorted(face.active)
+            ]
+            p = projection_matrix_gram(rows, n)
+            den = common_denominator(c for row in p for c in row)
+            m = tuple(
+                tuple(den * (i == j) - c * den for j, c in enumerate(row))
+                for i, row in enumerate(p)
+            )
+            dim = n - len(rref(rows)[1])
+            assert _complement(rows, n) == (dim, den, m)

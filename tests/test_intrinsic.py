@@ -31,7 +31,7 @@ from titskit.tits import (
 )
 
 from conftest import get_trio
-from oracles import mc_profile_nearest, project_to_cone
+from oracles import complement_gram, mc_profile_nearest, project_to_cone
 from test_cone_oracle import KINDS, cones
 
 QUADRANT = HomogeneousCone(dim=2, equalities=(), inequalities=((1, 0), (0, 1)))
@@ -223,8 +223,7 @@ def test_polygon_with_a_missing_ray_is_rejected(monkeypatch):
 def _polar(cone):
     """The polar cone {y : y.r <= 0 on every ray r, y.l = 0 on the
     lineality space}, with integer rows."""
-    rows = list(cone.equalities) + list(cone.inequalities)
-    lineality = intrinsic._complement(rows, cone.dim)[0]
+    lineality = complement_gram(cone.equalities + cone.inequalities, cone.dim)
     return HomogeneousCone(
         dim=cone.dim,
         equalities=tuple(

@@ -4,9 +4,10 @@ its order, joins and Mobius function against the cubic scans there, and
 its characters against a scan of the element per flat, for the full
 arrangement and for every deletion, on random small rational arrangements
 of each kind; every deletion's lattice, read off the flats, against the
-one built from the images of the faces; and the deletion-restriction
-check through one restriction map against the two-map check in
-`oracles`, for every hyperplane."""
+one built from the images of the faces; the deletion-restriction check
+through one restriction map against the two-map check in `oracles`, for
+every hyperplane; and the chambers of the Takeuchi and unit elements
+pushed forward to each deletion against their support sums."""
 
 from dataclasses import fields
 from fractions import Fraction
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 from titskit.elements import verify_deletion_restriction
 from titskit.geometry import enumerate_faces
 from titskit.lattice import FlatLattice, build_lattice, deletion_lattice
-from titskit.tits import is_characteristic, takeuchi_element, unit_element
+from titskit.tits import (
+    is_characteristic,
+    pushforward,
+    support_sum,
+    takeuchi_element,
+    unit_element,
+)
 
 from oracles import (
     build_lattice_rank,
@@ -146,3 +153,25 @@ def test_deletion_restriction_matches_two_map_oracle(kind, data):
         assert fmap.indices == tuple(i for i in range(arr.m) if i != h)
         assert (fmap.target.hyperplanes
                 == deletion_lattice_rank(arr, oracle, h)[0].hyperplanes)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_deletion_pushforward_matches_support_sums(kind, data):
+    # the chambers of the image of w under the deletion map are the faces
+    # of A with no zero off h: those supported at the top flat or at {h}
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    for h in range(arr.m):
+        fmap, dlat = deletion_lattice(arr, lat, h)
+        flat_h = lat.index_of(frozenset({h}))
+        for w, t in ((takeuchi_element(faces), -1), (unit_element(faces), 1)):
+            image = pushforward(fmap, w)
+            chambers = sum(c for signs, c in image.coeffs.items() if all(signs))
+            assert chambers == (
+                support_sum(lat, w, lat.top) + support_sum(lat, w, flat_h)
+            )
+            if dlat.rank_top() == lat.rank_top():
+                assert chambers == dlat.charpoly()(t)

@@ -5,7 +5,7 @@ import pytest
 
 from titskit.elements import braid_arrangement
 from titskit.geometry import ArrangementMismatch, FaceSet, NotAFace
-from titskit.lattice import subarrangement_map
+from titskit.lattice import FlatLattice, deletion_lattice, subarrangement_map
 from titskit.linalg import matrix_rank, nullspace
 from titskit.scalars import Poly, T
 from titskit.tits import (
@@ -109,6 +109,21 @@ def test_product_rejects_non_faces():
                 multiply(faces, left, right)
 
 
+def test_multiply_rejects_keys_that_are_not_faces():
+    # (+, -, +) is a sign vector of length 3 that no point realizes
+    arr, faces, _ = get_trio("braid3")
+    chamber = basis_element(arr, (-1, -1, -1))
+    bad = basis_element(arr, (1, -1, 1))
+    mixed = chamber + bad.scale(Fraction(2))
+    for left, right in ((chamber, bad), (bad, chamber), (bad, bad),
+                        (chamber, mixed), (mixed, chamber)):
+        with pytest.raises(NotAFace, match=r"\+-\+ is not a face"):
+            multiply(faces, left, right)
+    for left, right in (((-1, -1, -1), (1, -1, 1)), ((1, -1, 1), (-1, -1, -1))):
+        with pytest.raises(NotAFace):
+            tits_product(faces, left, right)
+
+
 def test_products_outside_the_face_set_rejected():
     arr, faces, _ = get_trio("braid3")
     wall, chamber = (0, -1, -1), (1, 1, 1)
@@ -186,6 +201,31 @@ def test_character_counts_supports_below():
     wall = lat.index_of(frozenset({0}))
     # faces supported at or under the wall: the center and the two walls
     assert character(lat, tau, wall) == Fraction(-1)
+
+
+def test_characters_reject_sign_vectors_that_are_not_faces():
+    # a lattice built from the faces holds every face, so a miss is not one
+    arr, faces, lat = get_trio("braid3")
+    bad = basis_element(arr, (1, -1, 1))
+    mixed = takeuchi_element(faces) + bad
+    for w in (bad, mixed):
+        for query in (
+            lambda: character(lat, w, lat.top),
+            lambda: support_sum(lat, w, lat.top),
+            lambda: chamber_sum(lat, w),
+            lambda: is_characteristic(lat, w, Fraction(-1)),
+        ):
+            with pytest.raises(NotAFace, match=r"\+-\+ is not a face"):
+                query()
+    assert (1, -1, 1) not in lat.face_support
+    # the same flats with no face map, and a deletion's lattice, map any
+    # sign vector by its zero set
+    bare = FlatLattice(arr, lat.flats)
+    assert character(bare, bad, bare.top) == 1
+    assert support_sum(bare, bad, bare.top) == 1
+    fmap, dlat = deletion_lattice(arr, lat, 0)
+    image = basis_element(fmap.target, (1, -1))
+    assert character(dlat, image, dlat.top) == 1
 
 
 def test_unit_element_is_two_sided_identity():
