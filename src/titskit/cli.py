@@ -187,10 +187,22 @@ def _profile_json(signs, prof, dim):
     return out
 
 
+def _field(value):
+    """A check field as JSON: Fraction and Poly as text, tuples as lists,
+    lists and dicts entry by entry; the rest as it is."""
+    if isinstance(value, (Fraction, Poly)):
+        return format_scalar(value)
+    if isinstance(value, dict):
+        return {k: _field(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_field(v) for v in value]
+    return value
+
+
 def _check(name, ok, **fields):
     """The one check record: its name, whether it passed, and the values
-    it compared."""
-    return {"name": name, "ok": ok, **fields}
+    it compared, each through _field."""
+    return {"name": name, "ok": ok, **_field(fields)}
 
 
 def _cmd_faces(arr, faces, lattice, args):
@@ -337,14 +349,10 @@ def _characteristic_checks(arr, faces, lattice):
         if family not in (None, arr.kind):
             continue
         rep = is_characteristic(lattice, build(faces), param)
-        fields = {"parameter": format_scalar(rep.parameter)}
+        fields = {"parameter": rep.parameter}
         if not rep.ok:
             fields["violations"] = [
-                {
-                    "flat": x,
-                    "character": format_scalar(chi),
-                    "expected": format_scalar(exp),
-                }
+                {"flat": x, "character": chi, "expected": exp}
                 for x, chi, exp, _ in rep.violations()
             ]
         checks.append(_check(name, rep.ok, **fields))
@@ -356,9 +364,9 @@ def _kung_check(lattice, s, t):
     return _check(
         f"kung-s{s}-t{t}",
         rep.ok,
-        lhs=str(rep.lhs),
-        flat_sum=str(rep.flat_sum),
-        pair_sum=str(rep.pair_sum),
+        lhs=rep.lhs,
+        flat_sum=rep.flat_sum,
+        pair_sum=rep.pair_sum,
     )
 
 
@@ -371,9 +379,9 @@ def _deletion_checks(arr, faces, lattice, which=None):
             _check(
                 f"deletion-h{h}",
                 not rep.rank_ok or (rep.identity_ok and rep.transport_ok),
-                chi=poly_str(rep.chi_full),
-                chi_deleted=poly_str(rep.chi_deleted),
-                chi_restriction=poly_str(rep.chi_restriction),
+                chi=rep.chi_full,
+                chi_deleted=rep.chi_deleted,
+                chi_restriction=rep.chi_restriction,
                 **note,
             )
         )
@@ -418,8 +426,8 @@ def _product_checks(arr, faces, nu, s, t):
             _check(
                 "adams-multiplicativity",
                 lhs == a.evaluate(s * t),
-                s=str(s),
-                t=str(t),
+                s=s,
+                t=t,
             )
         )
     rep = verify_intrinsic_product(faces, nu, s, t)
@@ -482,9 +490,9 @@ def _klivans_swartz_check(faces, lattice, profiles):
     return _check(
         "klivans-swartz",
         rep.ok(),
-        estimate=[float(v) for v in rep.estimate],
-        exact=[float(v) for v in rep.exact],
-        deviations=[float(v) for v in rep.deviations],
+        estimate=rep.estimate,
+        exact=rep.exact,
+        deviations=rep.deviations,
     )
 
 

@@ -18,17 +18,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .geometry import (
-    Arrangement,
     DuplicateHyperplane,
+    _same_arrangement,
     load_arrangement,
     make_arrangement,
 )
-from .lattice import (
-    build_lattice,
-    charpoly_under,
-    charpoly_over,
-    deletion_lattice,
-)
+from .lattice import charpoly_under, charpoly_over, deletion_lattice
 from .linalg import matrix_rank
 from .scalars import Poly, binom_poly
 from .tits import (
@@ -220,6 +215,7 @@ class ZaslavskyReport:
 
 def zaslavsky_counts(faces, lattice):
     """Chamber counts two ways: direct census vs evaluations of chi."""
+    _same_arrangement(faces.arr, lattice)
     chi = lattice.charpoly()
     r = lattice.rank_top()
     sign = (-1) ** r
@@ -269,6 +265,7 @@ def verify_deletion_restriction(arr, faces, lattice, h):
     Requires the deletion to preserve rank; when it does not, the report
     carries rank_ok=False and no identity claim.
     """
+    _same_arrangement(arr, faces, lattice)
     _, dlat = deletion_lattice(arr, lattice, h)
     flat_h = lattice.index_of(frozenset({h}))
     chi_full = lattice.charpoly()

@@ -48,6 +48,14 @@ class ArrangementMismatch(ValueError):
     """Objects built on different arrangements were combined."""
 
 
+def _same_arrangement(arr, *parts):
+    """Raise ArrangementMismatch unless every part (a face set, lattice or
+    element) is built on arr itself; an equal copy is another arrangement."""
+    for part in parts:
+        if part.arr is not arr:
+            raise ArrangementMismatch("combining objects of two arrangements")
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Affine hyperplane {x : normal . x = offset} in canonical form."""
@@ -217,12 +225,14 @@ class HomogeneousCone:
 
 
 class FaceSet:
-    """All faces of an arrangement, keyed by sign vector."""
+    """All faces of an arrangement, keyed by sign vector.  `packed()` is
+    the one index of their packed keys, in both directions."""
 
     def __init__(self, arr, faces):
         self.arr = arr
         self._faces = {f.signs: f for f in faces}
         self._order = sorted(self._faces, key=lambda s: (self._faces[s].dim, s))
+        self._packed = None
 
     def __len__(self):
         return len(self._faces)
@@ -244,6 +254,20 @@ class FaceSet:
 
     def sign_vectors(self):
         return list(self._order)
+
+    def packed(self):
+        """Each face's sign vector to its packed key, one int with bit j
+        for + and bit m + j for -, and each key back to the sign vector;
+        one dict, built on first use from the set's own sign vectors."""
+        if self._packed is None:
+            m = self.arr.m
+            self._packed = {}
+            for s in self._order:
+                key = sum([1 << (j if x > 0 else m + j)
+                           for j, x in enumerate(s) if x])
+                self._packed[s] = key
+                self._packed[key] = s
+        return self._packed
 
     @property
     def min_dim(self):
@@ -293,12 +317,17 @@ def _sign_masks(rows, v):
 
 def _cut(basis, row):
     """Primitive integer basis of the part of span(basis) orthogonal to row
-    (row is not orthogonal to all of it)."""
+    (row is not orthogonal to all of it).  A basis vector already
+    orthogonal to row is kept, negated when the pivot's rate is negative:
+    its recombination with the pivot vector, divided by the gcd, is that
+    vector, since the basis vectors are primitive."""
     rates = [_idot(row, b) for b in basis]
     p = next(i for i, r in enumerate(rates) if r)
     out = []
     for i, (b, r) in enumerate(zip(basis, rates)):
-        if i != p:
+        if i != p and not r:
+            out.append(b if rates[p] > 0 else tuple([-x for x in b]))
+        elif i != p:
             v = [rates[p] * x - r * y for x, y in zip(b, basis[p])]
             g = gcd(*v)
             out.append(tuple([x // g for x in v]))

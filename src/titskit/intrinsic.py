@@ -42,7 +42,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import acos, gcd, pi, sqrt
 
-from .geometry import _cone_rays, _covectors, _line, recession_cone
+from .geometry import (
+    _cone_rays,
+    _covectors,
+    _line,
+    _same_arrangement,
+    recession_cone,
+)
 from .linalg import _idot, common_denominator, matrix_rank, projection_matrix
 from .scalars import Poly
 from .tits import TitsElement, multiply
@@ -377,6 +383,7 @@ class IntrinsicElement:
 def intrinsic_element(
     arr, faces, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, force_mc=False
 ):
+    _same_arrangement(arr, faces)
     d = faces.min_dim
     profiles = {}
     coeffs = {}
@@ -419,6 +426,7 @@ def klivans_swartz_from_profiles(faces, lattice, profiles):
 
     [t^j] chi = (-1)^(rank - j) * sum over chambers C of v_(j+d)(C).
     """
+    _same_arrangement(faces.arr, lattice)
     d = lattice.d
     r = lattice.rank_top()
     sums = [0.0] * (r + 1)
@@ -444,6 +452,7 @@ def klivans_swartz_charpoly(
     faces, lattice, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, force_mc=False
 ):
     """Klivans-Swartz from freshly profiled chamber cones."""
+    _same_arrangement(faces.arr, lattice)
     profiles = {
         c.signs: face_intrinsic_volumes(
             faces.arr, c, samples=samples, seed=seed, force_mc=force_mc

@@ -29,6 +29,7 @@ from .geometry import (
     FaceSet,
     NotAFace,
     _bits,
+    _same_arrangement,
     signs_to_str,
 )
 from .scalars import Poly
@@ -272,6 +273,7 @@ def deletion_lattice(arr, lattice, h):
     the deletion, the image of X and maybe of X meet H, takes the largest
     dim among the flats mapping to it.  Returns (map, lattice); map.target
     is the deletion, whose faces map to their flats on first lookup."""
+    _same_arrangement(arr, lattice)
     if not 0 <= h < arr.m:
         raise IndexOutOfRange(f"hyperplane index {h} out of range")
     fmap = subarrangement_map(arr, [i for i in range(arr.m) if i != h])

@@ -12,10 +12,15 @@ witness point.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import eq, ge, gt
 
 
 class DimensionMismatch(ValueError):
     """A constraint vector's length differs from the ambient dimension."""
+
+
+class WitnessViolation(RuntimeError):
+    """A computed witness point that breaks one of its constraints."""
 
 
 class _Unbounded(RuntimeError):
@@ -182,11 +187,17 @@ def lp_feasible(dim, equalities=(), strict_inequalities=(), weak_inequalities=()
     for i, bv in enumerate(basis):
         values[bv] = rows[i][-1]
     point = tuple([values[k] - values[dim + k] for k in range(dim)])
+    return _checked_witness(point, eqs, stricts, weaks)
 
-    for a, b in eqs:
-        assert sum(Fraction(ak) * x for ak, x in zip(a, point)) == b
-    for a, b in stricts:
-        assert sum(Fraction(ak) * x for ak, x in zip(a, point)) > b
-    for a, b in weaks:
-        assert sum(Fraction(ak) * x for ak, x in zip(a, point)) >= b
+
+def _checked_witness(point, eqs, stricts, weaks):
+    """The point, once it satisfies every constraint exactly, strict ones
+    strictly; WitnessViolation names the first constraint it breaks."""
+    for rows, holds, rel in ((eqs, eq, "="), (stricts, gt, ">"),
+                             (weaks, ge, ">=")):
+        for a, b in rows:
+            if not holds(sum(Fraction(ak) * x for ak, x in zip(a, point)), b):
+                raise WitnessViolation(
+                    f"witness {point} breaks {a} . x {rel} {b}"
+                )
     return point

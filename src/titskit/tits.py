@@ -12,11 +12,13 @@ coefficients by the restriction of G to Z: the push of v to the
 localization at Z.  There is one push per distinct zero set of w, at most
 one per flat, and each is taken from the smallest push already made for a
 superset of Z (restricting twice is restricting once), or from v.  Inside
-the product a sign vector is one int, bit j for + and bit m + j for -, so
-restriction to Z is a mask and composition is `|`; each packed result
-maps back to the face set's own sign vector.  The work is the size of the
-pushes plus sum_F |pi_Z(v)|, not |w| |v|; float products can differ from
-the pairwise sum in the last bits, since the order of addition changes.
+the product a sign vector is its key in the face set's own index
+(FaceSet.packed): one int, bit j for + and bit m + j for -, so
+restriction to Z is a mask and composition is `|`.  One lookup there
+checks each key of w and v, and the same index maps each product back to
+its sign vector.  The work is the size of the pushes plus
+sum_F |pi_Z(v)|, not |w| |v|; float products can differ from the
+pairwise sum in the last bits, since the order of addition changes.
 
 The product, the pushforward and the support sums add rational
 coefficients as integer numerators over one common denominator and divide
@@ -31,9 +33,10 @@ above x too, and those are skipped; for Q_X Q_Y nearly every push cancels,
 as H_Z Q_Y = 0 unless Z <= Y.
 
 Characters are indexed by flats: chi_X(w) adds w's support sums, taken in
-one pass over w, over the flats below X.  An element is characteristic for
-a parameter t when chi_X(w) = t^rank(X) for every flat X; a matched entry
-is shared, from one table per lattice and t.
+one pass over w, over the flats below X; support_sum reads the same pass.
+An element is characteristic for a parameter t when chi_X(w) = t^rank(X)
+for every flat X; a matched entry is shared, from one table per lattice
+and t.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
 
-from .geometry import ArrangementMismatch, NotAFace, signs_to_str
+from .geometry import NotAFace, _same_arrangement, signs_to_str
 from .scalars import Poly, format_scalar, scalar_kind
 
 
@@ -85,8 +88,7 @@ class TitsElement:
         return self.arr is other.arr and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if self.arr is not other.arr:
-            raise ArrangementMismatch("adding elements of two arrangements")
+        _same_arrangement(self.arr, other)
         out = dict(self.coeffs)
         for signs, c in other.coeffs.items():
             out[signs] = out.get(signs, 0) + c
@@ -141,35 +143,6 @@ def tits_product(faces, f_signs, g_signs):
     return out
 
 
-def _pack(signs, m):
-    """A sign vector as one int: bit j for +, bit m + j for -."""
-    if len(signs) != m or not set(signs) <= {-1, 0, 1}:
-        raise NotAFace(f"{signs!r} is not a sign vector of length {m}")
-    key = 0
-    for j, s in enumerate(signs):
-        if s:
-            key |= 1 << (j if s > 0 else m + j)
-    return key
-
-
-def _faces_by_key(faces):
-    """The face set's own sign vectors by packed key, built on first use."""
-    index = getattr(faces, "_by_key", None)
-    if index is None:
-        m = faces.arr.m
-        index = faces._by_key = {_pack(s, m): s for s in faces.sign_vectors()}
-    return index
-
-
-def _face_key(by_key, signs, m):
-    """The packed key of one of the face set's sign vectors (by_key from
-    _faces_by_key); NotAFace for any other sign vector."""
-    key = _pack(signs, m)
-    if key not in by_key:
-        raise NotAFace(f"{signs_to_str(signs)} is not a face")
-    return key
-
-
 def _numerators(*coeffs):
     """Rational coefficient dicts as integer numerators over one common
     denominator: (den, dicts).  With a Poly or float coefficient anywhere
@@ -194,22 +167,24 @@ def multiply(faces, w, v):
     push of v per zero set of w's faces (see the module docstring).  A key
     of w or v that is not in the face set raises NotAFace, and a product
     that is not, NotClosed."""
-    if w.arr is not faces.arr or v.arr is not faces.arr:
-        raise ArrangementMismatch("multiplying another arrangement's element")
+    _same_arrangement(faces.arr, w, v)
     kw, kv = w.kind, v.kind
     if w.coeffs and v.coeffs and kw != kv:
         raise ScalarMismatch(f"cannot multiply {kw} element by {kv} element")
     m = faces.arr.m
     full = (1 << m) - 1
     den, (wc, vc) = _numerators(w.coeffs, v.coeffs)
-    by_key = _faces_by_key(faces)
+    packed = faces.packed()
+    try:  # one lookup per key: a sign vector missing from it is no face
+        wk = [(packed[signs], c) for signs, c in wc.items()]
+        source = [(packed[signs], c) for signs, c in vc.items()]
+    except KeyError as miss:
+        raise NotAFace(f"{signs_to_str(miss.args[0])} is not a face") from None
     terms = []
-    for signs, c in wc.items():
-        f = _face_key(by_key, signs, m)
+    for f, c in wk:
         z = full & ~(f | f >> m)  # F's zero set, masked on both halves
         terms.append((f, z | z << m, c))
     pushes = {}
-    source = [(_face_key(by_key, signs, m), c) for signs, c in vc.items()]
     # larger zero sets first, so each push can start from a coarser one
     for z in sorted(dict.fromkeys(z for _, z, _ in terms), key=int.bit_count,
                     reverse=True):
@@ -226,16 +201,17 @@ def multiply(faces, w, v):
     for k, c in out.items():
         if not c:
             continue
-        if k not in by_key:
+        if k not in packed:
             signs = tuple([(k >> j & 1) - (k >> (m + j) & 1) for j in range(m)])
             raise NotClosed(f"{signs_to_str(signs)} is missing from the face set")
-        coeffs[by_key[k]] = c
+        coeffs[packed[k]] = c
     # a product of two numerators sits over den squared
     return TitsElement(faces.arr, _divided(coeffs, den and den * den))
 
 
 def _support_sums(lattice, w):
     """Total coefficient of the faces supported at each flat, in one pass."""
+    _same_arrangement(lattice.arr, w)
     den, (coeffs,) = _numerators(w.coeffs)
     sums = {}
     for signs, c in coeffs.items():
@@ -255,8 +231,7 @@ def character(lattice, w, x):
 
 def support_sum(lattice, w, x):
     """Total coefficient of faces supported exactly at flat x."""
-    support = lattice.face_support
-    return sum((c for s, c in w.coeffs.items() if support[s] == x), 0)
+    return _support_sums(lattice, w).get(lattice._checked(x), 0)
 
 
 def chamber_sum(lattice, w):
@@ -372,8 +347,7 @@ def flat_multiply(lattice, u, v):
 
 def pushforward(fmap, w):
     """Image of an element under a subarrangement restriction map."""
-    if w.arr is not fmap.source:
-        raise ArrangementMismatch("the element is not on the map's source")
+    _same_arrangement(fmap.source, w)
     den, (coeffs,) = _numerators(w.coeffs)
     out = {}
     for signs, c in coeffs.items():

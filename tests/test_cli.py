@@ -275,19 +275,38 @@ def test_library_builds_no_tuple_from_a_generator():
 
 
 def test_library_holds_no_assert():
-    # the library's checks are explicit raises, so they hold under
-    # python -O; lp.py is a test oracle not yet moved out of src/
+    # the library's checks are explicit raises, so they hold under python -O
     import ast
 
     src = Path(__file__).resolve().parent.parent / "src" / "titskit"
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "lp.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_library_imports_are_used():
+    # every name a module imports is read in it; __init__.py re-exports
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "titskit"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):

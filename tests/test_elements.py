@@ -21,10 +21,31 @@ from titskit.elements import (
     verify_kung,
     zaslavsky_counts,
 )
-from titskit.geometry import DuplicateHyperplane, enumerate_faces
-from titskit.lattice import FlatLattice, IndexOutOfRange, build_lattice
+from titskit.geometry import (
+    ArrangementMismatch,
+    DuplicateHyperplane,
+    enumerate_faces,
+)
+from titskit.intrinsic import (
+    intrinsic_element,
+    klivans_swartz_charpoly,
+    klivans_swartz_from_profiles,
+)
+from titskit.lattice import (
+    FlatLattice,
+    IndexOutOfRange,
+    build_lattice,
+    deletion_lattice,
+)
 from titskit.scalars import Poly, T, binom_poly
-from titskit.tits import chamber_sum, is_characteristic, multiply
+from titskit.tits import (
+    chamber_sum,
+    character,
+    is_characteristic,
+    multiply,
+    support_sum,
+    takeuchi_element,
+)
 
 from conftest import STANDARD, get_trio
 
@@ -245,6 +266,39 @@ def test_deletion_restriction_on_two_lattices_of_one_face_set(name):
             rep = verify_deletion_restriction(arr, faces, a, h)
             assert rep == verify_deletion_restriction(arr, faces, b, h)
             assert rep.ok or not rep.rank_ok
+
+
+# each call mixes braid3 (arrangement b3, faces f3, lattice l3, Takeuchi
+# element tau3, profiles nu3) with braid4's lattice l4 or with the coord3
+# arrangement c3; unchecked, each returned a wrong answer or raised a bare
+# IndexError
+MISMATCHED = {
+    "zaslavsky_counts": (zaslavsky_counts, "f3 l4"),
+    "deletion-arrangement": (verify_deletion_restriction, "c3 f3 l3 h0"),
+    "deletion-lattice": (verify_deletion_restriction, "b3 f3 l4 h0"),
+    "deletion_lattice": (deletion_lattice, "c3 l3 h0"),
+    "intrinsic_element": (intrinsic_element, "c3 f3"),
+    "klivans_swartz_charpoly": (klivans_swartz_charpoly, "f3 l4"),
+    "klivans_swartz_from_profiles": (klivans_swartz_from_profiles, "f3 l4 nu3"),
+    "character": (character, "l4 tau3 top4"),
+    "support_sum": (support_sum, "l4 tau3 top4"),
+    "chamber_sum": (chamber_sum, "l4 tau3"),
+    "is_characteristic": (is_characteristic, "l4 tau3 minus1"),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED)
+def test_inputs_of_two_arrangements_rejected(call):
+    b3, f3, l3 = get_trio("braid3")
+    l4 = get_trio("braid4")[2]
+    args = {
+        "b3": b3, "f3": f3, "l3": l3, "l4": l4, "c3": get_trio("coord3")[0],
+        "tau3": takeuchi_element(f3), "nu3": intrinsic_element(b3, f3).profiles,
+        "top4": l4.top, "h0": 0, "minus1": Fraction(-1),
+    }
+    fn, names = MISMATCHED[call]
+    with pytest.raises(ArrangementMismatch):
+        fn(*[args[name] for name in names.split()])
 
 
 def test_deletion_rank_drop_reported():

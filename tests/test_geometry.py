@@ -20,7 +20,12 @@ from titskit.geometry import (
     signs_to_str,
     str_to_signs,
 )
-from titskit.lp import DimensionMismatch, lp_feasible
+from titskit.lp import (
+    DimensionMismatch,
+    WitnessViolation,
+    _checked_witness,
+    lp_feasible,
+)
 
 from conftest import get_trio
 from oracles import _essentially_bounded
@@ -76,6 +81,23 @@ def test_lp_feasible_equality_only_and_unbounded_direction():
 def test_lp_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         lp_feasible(2, equalities=[((1,), 0)])
+
+
+def test_lp_witness_breaking_a_constraint_raises():
+    # the point (1, 0) breaks one constraint of each kind, the strict one
+    # on its boundary; the checks are raises, so they hold under python -O
+    point = (Fraction(1), Fraction(0))
+    x_is_1, x_above_0, y_at_least_0 = ([1, 0], 1), ([1, 0], 0), ([0, 1], 0)
+    assert _checked_witness(
+        point, [x_is_1], [x_above_0], [y_at_least_0]
+    ) == point
+    for eqs, stricts, weaks in (
+        ([([1, 0], 2)], [x_above_0], [y_at_least_0]),
+        ([x_is_1], [([1, 0], 1)], [y_at_least_0]),
+        ([x_is_1], [x_above_0], [([0, 1], 1)]),
+    ):
+        with pytest.raises(WitnessViolation):
+            _checked_witness(point, eqs, stricts, weaks)
 
 
 def _brute_force_sign_vectors(arr):

@@ -100,12 +100,13 @@ def test_product_rejects_non_faces():
     arr, faces, _ = get_trio("braid3")
     with pytest.raises(NotAFace):
         tits_product(faces, (1, -1, 1), (0, 0, 0))
-    # a key that is no sign vector of length m cannot be packed
+    # a key of another length or with another entry is missing from the
+    # face set's index, as a non-face is
     zero = basis_element(arr, (0, 0, 0))
     for bad in ((1, -1), (1, -1, 1, 0), (2, 0, 0)):
         w = TitsElement(arr, {bad: Fraction(1)})
         for left, right in ((w, zero), (zero, w)):
-            with pytest.raises(NotAFace):
+            with pytest.raises(NotAFace, match="is not a face"):
                 multiply(faces, left, right)
 
 

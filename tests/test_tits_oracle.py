@@ -26,13 +26,16 @@ from titskit.scalars import Poly
 from titskit.tits import (
     NotClosed,
     TitsElement,
+    _support_sums,
     basis_element,
+    chamber_sum,
     character,
     compose_signs,
     flat_multiply,
     multiply,
     pushforward,
     q_basis,
+    support_sum,
     takeuchi_element,
     unit_element,
 )
@@ -141,6 +144,29 @@ def test_mixed_rationals_match_running_sums(kind, data):
     chars = [character(lat, w, x) for x in range(len(lat))]
     assert chars == characters_scan(lat.flats, w)
     assert _all_fractions(c for c in chars if c != 0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_support_sum_reads_the_one_pass_sums(kind, data):
+    """support_sum and chamber_sum read _support_sums, whose value at each
+    flat is the running sum of the faces supported there, in the same
+    order; a flat index outside [0, len) raises."""
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    for scalar in SCALARS:
+        w = _element(data, arr, faces, scalar)
+        sums = _support_sums(lat, w)
+        for x in range(len(lat)):
+            scan = sum((c for s, c in w.coeffs.items()
+                        if lat.face_support[s] == x), 0)
+            assert support_sum(lat, w, x) == sums.get(x, 0) == scan
+        assert chamber_sum(lat, w) == sums.get(lat.top, 0)
+        for x in (-1, len(lat)):
+            with pytest.raises(IndexOutOfRange):
+                support_sum(lat, w, x)
 
 
 def _flat_element(data, lat, scalar):
