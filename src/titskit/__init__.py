@@ -43,7 +43,6 @@ from .lattice import (
     charpoly_under,
     deletion_lattice,
     subarrangement_map,
-    support_closure,
 )
 from .scalars import Poly, T, binom_poly, poly_str
 from .tits import (

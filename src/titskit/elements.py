@@ -28,6 +28,7 @@ from .linalg import matrix_rank
 from .scalars import Poly, binom_poly
 from .tits import (
     TitsElement,
+    _divided,
     _support_sums,
     takeuchi_element,
     unit_element,
@@ -249,7 +250,7 @@ def _transported(faces, lattice):
     built once per face set and lattice; kept private, never handed out."""
     if getattr(faces, "_transported", (None,))[0] is not lattice:
         faces._transported = lattice, [
-            (t, _support_sums(lattice, w)) for w, t in
+            (t, _divided(*_support_sums(lattice, w))) for w, t in
             ((takeuchi_element(faces), -1), (unit_element(faces), 1))]
     return faces._transported[1]
 

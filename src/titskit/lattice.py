@@ -1,18 +1,24 @@
 """The join-semilattice of flats and its Mobius/characteristic machinery.
 
 A flat is a nonempty intersection of hyperplanes (including the empty
-intersection, the ambient space).  Flats are keyed by their closures: the
-set of ALL hyperplane indices containing the subspace.  Every flat is the
-affine hull of a face, so the flats are the zero sets of the faces, and a
-flat's dimension is the dimension of its faces; no linear algebra is done
-here.  Under the inclusion order the ambient space is the top element;
-joins always exist (the closure of the join is the intersection of the
-closures) while meets may not in the affine case.  Ranks are dimensions
-shifted by the common lineality dimension d, the smallest flat dimension.
-Order questions read each flat's below- and above-set, built once, and one
-pass over the intervals gives the Mobius function and checks gradedness.
+intersection, the ambient space).  Flats are keyed by their zero masks: bit
+j is set when H_j contains the subspace.  A flat's closure is the same set
+of ALL hyperplane indices containing it, built once per flat.  Every flat
+is the affine hull of a face, so the flats are the zero sets of the faces,
+and a flat's dimension is the dimension of its faces; no linear algebra is
+done here.  The support of a face, the flat it spans, is the flat of its
+zero mask: read off the face's packed key on a lattice that keeps its face
+set, off the signs otherwise.  Under the inclusion order the ambient space
+is the top element; joins always exist (the closure of the join is the
+intersection of the closures) while meets may not in the affine case.
+Ranks are dimensions shifted by the common lineality dimension d, the
+smallest flat dimension.  Order questions read each flat's below- and
+above-set, built once, and gradedness is checked once, on the covers.  The
+Mobius function is read by columns: mu(., x) is built the first time it is
+read and kept, so chi costs the one column at the top.
 Every flat of a deletion A minus H is a flat of A (Orlik and Terao, 2.3),
-so the deletion's lattice is read off the flats of A, not its faces.
+so the deletion's lattice is read off the flats of A, not its faces: each
+zero mask drops bit h.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, itemgetter
+from operator import and_
 from types import MappingProxyType
 
 from .geometry import (
@@ -56,34 +62,22 @@ class Flat:
     rank: int
 
 
-class _FaceSupport(dict):
-    """Flat index by sign vector.  Once it holds every face (build_lattice)
-    a miss is not a face; until then a sign vector maps by its zero set."""
-
-    complete = False
-
-    def __missing__(self, signs):
-        if self.complete:
-            raise NotAFace(f"{signs_to_str(signs)} is not a face")
-        zeros = frozenset(j for j, s in enumerate(signs) if s == 0)
-        x = self[signs] = self.index[zeros]
-        return x
-
-
 class FlatLattice:
-    """Flats of one arrangement, in order of rank, with joins and Mobius."""
+    """Flats of one arrangement, in order of rank, with joins and Mobius;
+    `faces` is the face set they were read from, or None."""
 
-    def __init__(self, arr, flats, face_support=None):
+    def __init__(self, arr, flats, faces=None):
         self.arr = arr
         self.flats = tuple(flats)
-        self._index = {f.closure: i for i, f in enumerate(self.flats)}
-        self.top = self._index[frozenset()]
+        self.faces = faces
+        self._by_mask = {sum([1 << j for j in f.closure]): i
+                         for i, f in enumerate(self.flats)}
+        self.top = self._by_mask[0]
         self.d = self.flats[0].dim - self.flats[0].rank
-        self.face_support = _FaceSupport(face_support or ())
-        self.face_support.index = self._index
-        # built on first use: chi, Q basis, join rows, matched entries by t
-        self._chi = self._q = None
-        self._rows, self._matched = {}, {}
+        # built on first use: Q basis, join rows, Mobius columns, matched
+        # entries by t
+        self._q = None
+        self._rows, self._columns, self._matched = {}, {}, {}
         # masks over flat indices: y <= x when y lies on every hyperplane
         # through x, and x <= y when y lies on no hyperplane missing x
         full = (1 << len(self.flats)) - 1
@@ -96,7 +90,14 @@ class FlatLattice:
                        for f in self.flats]
         if any(up & ((1 << i) - 1) for i, up in enumerate(self._above)):
             raise ValueError("flats must be listed in order of rank")
-        self._mobius = [self._mobius_row(y) for y in range(len(self.flats))]
+        # x covers y when y and x alone lie in [y, x]
+        rank = [f.rank for f in self.flats]
+        for y, up in enumerate(self._above):
+            for x in _bits(up ^ 1 << y):
+                if rank[x] != rank[y] + 1 and self._below[x] & up == 1 << x | 1 << y:
+                    raise UngradedLattice(
+                        f"cover {y} < {x} jumps rank {rank[y]} -> {rank[x]}"
+                    )
 
     # -- order ----------------------------------------------------------
 
@@ -112,7 +113,22 @@ class FlatLattice:
         return self.flats[self._checked(x)]
 
     def index_of(self, closure):
-        return self._index[frozenset(closure)]
+        return self._by_mask[sum({1 << j for j in closure})]
+
+    def support(self, signs):
+        """Index of the flat a face spans, the flat of its zero mask.  With
+        the face set, the mask is read off the face's packed key, and a
+        sign vector that is not a face raises NotAFace; without it, off the
+        signs, and only a zero set that is no flat raises."""
+        try:
+            if self.faces is None:
+                zeros = sum([1 << j for j, s in enumerate(signs) if not s])
+            else:
+                key, m = self.faces.packed()[signs], self.arr.m
+                zeros = (1 << m) - 1 & ~(key | key >> m)
+            return self._by_mask[zeros]
+        except KeyError:
+            raise NotAFace(f"{signs_to_str(signs)} is not a face") from None
 
     def leq(self, y, x):
         """Whether flat y is contained in flat x."""
@@ -129,10 +145,6 @@ class FlatLattice:
     def above(self, x):
         return list(_bits(self._above[self._checked(x)]))
 
-    def above_mask(self, x):
-        """The flats containing flat x, as a bitmask over flat indices."""
-        return self._above[self._checked(x)]
-
     def _join_row(self, x):
         """x join y for every flat y, as an array built on first use."""
         if x not in self._rows:
@@ -145,91 +157,86 @@ class FlatLattice:
 
     # -- Mobius function --------------------------------------------------
 
-    def _mobius_row(self, y):
-        """mu(y, x) for each x >= y; x covers y when [y, x) holds y alone."""
-        row = {y: 1}
-        ry = self.flats[y].rank
-        for x in _bits(self._above[y] ^ (1 << y)):
-            interval = (self._below[x] & self._above[y]) ^ (1 << x)
-            if interval == 1 << y and self.flats[x].rank != ry + 1:
-                raise UngradedLattice(
-                    f"cover {y} < {x} jumps rank {ry} -> {self.flats[x].rank}"
-                )
-            row[x] = -sum(row[z] for z in _bits(interval))
-        return row
+    def _column(self, x):
+        """mu(y, x) for each y <= x, built on first use: mu(x, x) = 1, and
+        downward mu(y, x) = -(sum of mu(z, x) over y < z <= x)."""
+        col = self._columns.get(x)
+        if col is None:
+            down = self._below[x]
+            col = self._columns[x] = {x: 1}
+            for y in reversed(list(_bits(down ^ 1 << x))):
+                col[y] = -sum([col[z] for z in _bits(self._above[y] & down ^ 1 << y)])
+        return col
 
     def mobius(self, y, x):
-        row = self._mobius[self._checked(y)]
-        if self._checked(x) not in row:
+        col = self._column(self._checked(x))
+        if self._checked(y) not in col:
             raise NotComparable(f"flat {y} is not below flat {x}")
-        return row[x]
+        return col[y]
 
     def mobius_row(self, y):
         """mu(y, x) for every flat x >= y, in index order, read-only."""
-        return MappingProxyType(self._mobius[self._checked(y)])
+        above = _bits(self._above[self._checked(y)])
+        return MappingProxyType({x: self._column(x)[y] for x in above})
 
     # -- characteristic polynomials ---------------------------------------
 
     def charpoly(self):
         """chi(t) = sum over flats Y of mu(Y, top) t^rank(Y)."""
-        if self._chi is None:
-            self._chi = charpoly_under(self, self.top)
-        return self._chi
+        return charpoly_under(self, self.top)
 
 
-def support_closure(arr, face):
-    """Indices of all hyperplanes containing the affine hull of the face:
-    its zero set, since a face lies in H_j exactly when its sign there is 0."""
-    return frozenset(j for j, s in enumerate(face.signs) if s == 0)
-
-
-def _lattice(arr, dims):
-    """Flat lattice from (closure, dim) pairs covering the flats: each
+def _lattice(arr, dims, faces=None):
+    """Flat lattice from (zero mask, dim) pairs covering the flats: each
     takes the largest dim among its pairs, and d is the smallest dim."""
     flat_dim = {}
-    for c, dim in dims:
-        flat_dim[c] = max(dim, flat_dim.get(c, dim))
+    for z, dim in dims:
+        flat_dim[z] = max(dim, flat_dim.get(z, dim))
     d = min(flat_dim.values())
     flats = sorted(
-        (Flat(closure=c, dim=dim, rank=dim - d) for c, dim in flat_dim.items()),
+        (Flat(closure=frozenset(_bits(z)), dim=dim, rank=dim - d)
+         for z, dim in flat_dim.items()),
         key=lambda f: (f.rank, sorted(f.closure)),
     )
-    return FlatLattice(arr, flats)
+    return FlatLattice(arr, flats, faces)
 
 
 def build_lattice(arr, faces):
-    """Flat lattice of an arrangement: the zero sets of its faces, each
-    with the dimension of its faces; every face maps to its zero set, and
-    a sign vector that is not a face to NotAFace."""
+    """Flat lattice of an arrangement: the zero masks of its faces, read
+    off their packed keys, each with the dimension of its faces.  The
+    lattice keeps the face set, so `support` raises NotAFace for a sign
+    vector that is not one of its faces."""
     if not (isinstance(faces, FaceSet) and faces.arr is arr):
         raise ArrangementMismatch("build_lattice needs the FaceSet of arr")
-    zeros = {f.signs: support_closure(arr, f) for f in faces}
-    lat = _lattice(arr, ((zeros[f.signs], f.dim) for f in faces))
-    lat.face_support.update({s: lat._index[c] for s, c in zeros.items()})
-    lat.face_support.complete = True
-    return lat
+    m, packed = arr.m, faces.packed()
+    # the faces with one zero mask span one flat, of their dimension
+    dims = {(1 << m) - 1 & ~(k | k >> m): f.dim
+            for f in faces for k in [packed[f.signs]]}
+    return _lattice(arr, dims.items(), faces)
 
 
 def charpoly_under(lattice, x):
-    """chi of the restriction to flat x: sum_{Y <= x} mu(Y, x) t^rank(Y).
+    """chi of the restriction to flat x: sum_{Y <= x} mu(Y, x) t^rank(Y),
+    read off the Mobius column of x.
 
     Ranks are taken in the ambient arrangement, so for affine arrangements
     this matches the convention in which the interval below x is never
     re-embedded in the subspace x.
     """
     coeffs = [0] * (lattice.flat(x).rank + 1)
-    for y in lattice.below(x):
-        coeffs[lattice.flats[y].rank] += lattice._mobius[y][x]
+    for y, mu in lattice._column(x).items():
+        coeffs[lattice.flats[y].rank] += mu
     return Poly(coeffs)
 
 
 def charpoly_over(lattice, x):
     """chi of the localization at flat x, on the interval above x:
-    sum_{Y >= x} mu(Y, top) t^(rank(Y) - rank(x))."""
+    sum_{Y >= x} mu(Y, top) t^(rank(Y) - rank(x)), off the top column."""
     rx = lattice.flat(x).rank
+    col = lattice._column(lattice.top)
     coeffs = [0] * (lattice.rank_top() - rx + 1)
     for y in lattice.above(x):
-        coeffs[lattice.flats[y].rank - rx] += lattice._mobius[y][lattice.top]
+        coeffs[lattice.flats[y].rank - rx] += col[y]
     return Poly(coeffs)
 
 
@@ -241,14 +248,8 @@ class SubarrangementMap:
     indices: tuple
     target: object
 
-    def __post_init__(self):
-        # a slice keeps one index or none a tuple, which itemgetter would not
-        i = self.indices
-        keys = i if len(i) > 1 else [slice(i[0], i[0] + 1) if i else slice(0)]
-        object.__setattr__(self, "_restrict", itemgetter(*keys))
-
     def __call__(self, signs):
-        return self._restrict(signs)
+        return tuple([signs[i] for i in self.indices])
 
 
 def subarrangement_map(arr, indices):
@@ -269,16 +270,18 @@ def subarrangement_map(arr, indices):
 
 def deletion_lattice(arr, lattice, h):
     """Restriction map dropping hyperplane h, and the deletion's lattice,
-    read off `lattice.flats` alone: each closure loses h, and a flat X of
-    the deletion, the image of X and maybe of X meet H, takes the largest
-    dim among the flats mapping to it.  Returns (map, lattice); map.target
-    is the deletion, whose faces map to their flats on first lookup."""
+    read off `lattice.flats` alone: each zero mask drops bit h, and a flat
+    X of the deletion, the image of X and maybe of X meet H, takes the
+    largest dim among the flats mapping to it.  Returns (map, lattice);
+    map.target is the deletion, whose lattice maps a sign vector to the
+    flat of its zero set."""
     _same_arrangement(arr, lattice)
     if not 0 <= h < arr.m:
         raise IndexOutOfRange(f"hyperplane index {h} out of range")
     fmap = subarrangement_map(arr, [i for i in range(arr.m) if i != h])
+    low = (1 << h) - 1
     dims = (
-        (frozenset([j - (j > h) for j in f.closure if j != h]), f.dim)
-        for f in lattice.flats
+        (z & low | z >> (h + 1) << h, lattice.flats[x].dim)
+        for z, x in lattice._by_mask.items()
     )
     return fmap, _lattice(fmap.target, dims)

@@ -33,7 +33,9 @@ above x too, and those are skipped; for Q_X Q_Y nearly every push cancels,
 as H_Z Q_Y = 0 unless Z <= Y.
 
 Characters are indexed by flats: chi_X(w) adds w's support sums, taken in
-one pass over w, over the flats below X; support_sum reads the same pass.
+one pass over w, over the flats below X, as integer numerators over w's
+one denominator, and divides once per flat; support_sum reads the same
+pass.
 An element is characteristic for a parameter t when chi_X(w) = t^rank(X)
 for every flat X; a matched entry is shared, from one table per lattice
 and t.
@@ -210,28 +212,32 @@ def multiply(faces, w, v):
 
 
 def _support_sums(lattice, w):
-    """Total coefficient of the faces supported at each flat, in one pass."""
+    """Total coefficient of the faces supported at each flat, in one pass:
+    (sums, den), rational sums as integer numerators over den (`_divided`
+    gives the Fractions); Poly and float sums as they are, with den None."""
     _same_arrangement(lattice.arr, w)
     den, (coeffs,) = _numerators(w.coeffs)
     sums = {}
     for signs, c in coeffs.items():
-        x = lattice.face_support[signs]
+        x = lattice.support(signs)
         sums[x] = sums.get(x, 0) + c
-    return _divided(sums, den)
+    return sums, den
 
 
-def _character(lattice, sums, x):
-    return sum((sums[y] for y in lattice.below(x) if y in sums), 0)
+def _character(lattice, sums, den, x):
+    """chi_X from the support numerators: one Fraction per flat."""
+    parts = [sums[y] for y in lattice.below(x) if y in sums]
+    return Fraction(sum(parts), den) if den and parts else sum(parts, 0)
 
 
 def character(lattice, w, x):
     """chi_X(w): total coefficient of faces supported at or below flat x."""
-    return _character(lattice, _support_sums(lattice, w), x)
+    return _character(lattice, *_support_sums(lattice, w), x)
 
 
 def support_sum(lattice, w, x):
     """Total coefficient of faces supported exactly at flat x."""
-    return _support_sums(lattice, w).get(lattice._checked(x), 0)
+    return _divided(*_support_sums(lattice, w)).get(lattice._checked(x), 0)
 
 
 def chamber_sum(lattice, w):
@@ -265,10 +271,10 @@ def is_characteristic(lattice, w, t, tol=None):
         powers = [t ** k for k in range(lattice.rank_top() + 1)]
         lattice._matched[key] = [(x, powers[f.rank], powers[f.rank], 0)
                                  for x, f in enumerate(lattice.flats)]
-    sums = _support_sums(lattice, w)
+    sums, den = _support_sums(lattice, w)
     entries = []
     for x, match in enumerate(lattice._matched[key]):
-        lhs = _character(lattice, sums, x)
+        lhs = _character(lattice, sums, den, x)
         dev = 0 if lhs == match[2] else _magnitude(lhs - match[2])
         entries.append((x, lhs, match[2], dev) if dev else match)
     ok = all(e[3] == 0 if tol is None else e[3] <= tol for e in entries)

@@ -19,11 +19,13 @@ faces of a cone built the same way.
 dimension of the intersection of its hyperplanes by exact rank, and d the
 dimension of the lineality space; they are kept as they were before the
 flat lattice was built from the zero sets and dimensions of the faces in
-`titskit.lattice`.  `lattice_from_faces` is that construction from (sign
-vector, dim) pairs, with an eager face map, and `deletion_lattice_images`
-builds a deletion's lattice from the images of every face under the
-restriction map; both are kept as they were before `titskit.lattice` read
-the deletion's lattice off the flats of the full arrangement.
+`titskit.lattice`; their lattices map a face to its flat by its zero set.
+`lattice_from_faces` is that construction from (sign vector, dim) pairs,
+with an eager face map returned beside the lattice, and
+`deletion_lattice_images` builds a deletion's lattice from the images of
+every face under the restriction map; both are kept as they were before
+`titskit.lattice` read the deletion's lattice off the flats of the full
+arrangement.
 
 `verify_deletion_restriction_two_maps` is the deletion-restriction check
 as it was before the deletion was built through one restriction map: it
@@ -120,7 +122,6 @@ from titskit.lattice import (
     IndexOutOfRange,
     UngradedLattice,
     subarrangement_map,
-    support_closure,
 )
 from titskit.linalg import _idot, common_denominator, dot, matrix_rank, nullspace
 from titskit.lp import lp_feasible
@@ -454,12 +455,8 @@ def _flats_from_closures(arr, closures, d):
 def build_lattice_rank(arr, faces):
     """Flat lattice of an arrangement, from the supports of its faces."""
     d = len(lineality_space(arr))
-    support_of = {f.signs: support_closure(arr, f) for f in faces}
-    closures = set(support_of.values())
-    flats = _flats_from_closures(arr, closures, d)
-    index = {f.closure: i for i, f in enumerate(flats)}
-    face_support = {signs: index[c] for signs, c in support_of.items()}
-    return FlatLattice(arr, flats, face_support)
+    closures = {zero_set(f.signs) for f in faces}
+    return FlatLattice(arr, _flats_from_closures(arr, closures, d))
 
 
 def deletion_lattice_rank(arr, lattice, h):
@@ -490,8 +487,14 @@ def deletion_lattice_rank(arr, lattice, h):
     return sub, FlatLattice(sub, flats)
 
 
+def zero_set(signs):
+    """The hyperplanes on which a sign vector is zero."""
+    return frozenset(j for j, s in enumerate(signs) if s == 0)
+
+
 def lattice_from_faces(arr, dims):
-    """Flat lattice from (sign vector, dim) pairs covering the faces.
+    """Flat lattice from (sign vector, dim) pairs covering the faces, and
+    the map of each sign vector to the index of its flat.
 
     Each flat is a zero set, with the largest dim among the pairs that
     share it; a sign vector may repeat.  d is the smallest flat dim, and
@@ -500,7 +503,7 @@ def lattice_from_faces(arr, dims):
     zeros = {}
     flat_dim = {}
     for signs, dim in dims:
-        c = frozenset(j for j, s in enumerate(signs) if s == 0)
+        c = zero_set(signs)
         zeros[signs] = c
         flat_dim[c] = max(dim, flat_dim.get(c, dim))
     d = min(flat_dim.values())
@@ -509,22 +512,20 @@ def lattice_from_faces(arr, dims):
         key=lambda f: (f.rank, sorted(f.closure)),
     )
     index = {f.closure: i for i, f in enumerate(flats)}
-    return FlatLattice(arr, flats, {s: index[c] for s, c in zeros.items()})
+    return FlatLattice(arr, flats), {s: index[c] for s, c in zeros.items()}
 
 
 def deletion_lattice_images(arr, lattice, h):
-    """Restriction map dropping hyperplane h, and the deletion's lattice
-    from the images of the faces of `lattice.face_support` under the map:
-    a face of the deletion is a union of faces of the full arrangement,
-    and its flat has the largest dimension among their flats."""
+    """Restriction map dropping hyperplane h, the deletion's lattice from
+    the images of the faces `lattice` keeps under the map, and its map of
+    each image to its flat: a face of the deletion is a union of faces of
+    the full arrangement, and its flat has the largest dimension among
+    theirs."""
     if not 0 <= h < arr.m:
         raise IndexOutOfRange(f"hyperplane index {h} out of range")
     fmap = subarrangement_map(arr, [i for i in range(arr.m) if i != h])
-    dims = (
-        (fmap(signs), lattice.flat(x).dim)
-        for signs, x in lattice.face_support.items()
-    )
-    return fmap, lattice_from_faces(fmap.target, dims)
+    dims = ((fmap(f.signs), f.dim) for f in lattice.faces)
+    return (fmap, *lattice_from_faces(fmap.target, dims))
 
 
 def verify_deletion_restriction_two_maps(arr, faces, lattice, h):
@@ -539,10 +540,9 @@ def verify_deletion_restriction_two_maps(arr, faces, lattice, h):
         kind="custom",
         params={"deleted": h, "from": arr.kind},
     )
-    dlat = lattice_from_faces(sub, (
-        (signs[:h] + signs[h + 1:], lattice.flat(x).dim)
-        for signs, x in lattice.face_support.items()
-    ))
+    dlat, _ = lattice_from_faces(
+        sub, ((f.signs[:h] + f.signs[h + 1:], f.dim) for f in faces)
+    )
     chi_del = dlat.charpoly()
     if dlat.rank_top() != lattice.rank_top():
         return DeletionReport(
@@ -671,7 +671,7 @@ def flat_multiply_masks(lattice, u, v):
     if keys:
         lattice._checked(min(keys))
         lattice._checked(max(keys))
-    above = [lattice.above_mask(x) for x in range(len(lattice))]
+    above = [sum(1 << y for y in lattice.above(x)) for x in range(len(lattice))]
     source = [(above[y], c) for y, c in v.items() if c != 0]
     pushes = []  # (above-set of x, push of v at x), x increasing
     dead = 0  # the flats above a flat whose push cancelled

@@ -16,7 +16,6 @@ from titskit.lattice import (
     charpoly_under,
     deletion_lattice,
     subarrangement_map,
-    support_closure,
 )
 from titskit.scalars import Poly, T
 from titskit.tits import TitsElement, character, flat_multiply, tits_product
@@ -66,21 +65,22 @@ def test_braid3_structure():
 def test_support_of_faces():
     arr, faces, lat = get_trio("braid3")
     chamber = faces.face((-1, -1, -1))
-    assert lat.face_support[chamber.signs] == lat.top
+    assert lat.support(chamber.signs) == lat.top
     center = faces.face((0, 0, 0))
-    assert lat.flat(lat.face_support[center.signs]).closure == frozenset(
+    assert lat.flat(lat.support(center.signs)).closure == frozenset(
         {0, 1, 2}
     )
     wall = faces.face((0, -1, -1))
-    assert lat.flat(lat.face_support[wall.signs]).closure == frozenset({0})
-    assert support_closure(arr, wall) == frozenset({0})
+    assert lat.flat(lat.support(wall.signs)).closure == frozenset({0})
+    assert lat.support(wall.signs) == lat.index_of({0})
 
 
 @pytest.mark.parametrize("name", STANDARD)
 def test_support_closure_is_zero_set(name):
-    arr, faces, _ = get_trio(name)
+    arr, faces, lat = get_trio(name)
     for f in faces:
-        assert support_closure(arr, f) == witness_support_closure(arr, f)
+        closure = lat.flat(lat.support(f.signs)).closure
+        assert closure == witness_support_closure(arr, f)
 
 
 @pytest.mark.parametrize(
@@ -160,9 +160,9 @@ def test_support_multiplicative_over_product():
         for f in signs:
             for g in signs:
                 fg = tits_product(faces, f, g)
-                sf = lat.face_support[f]
-                sg = lat.face_support[g]
-                assert lat.face_support[fg] == lat.join(sf, sg)
+                sf = lat.support(f)
+                sg = lat.support(g)
+                assert lat.support(fg) == lat.join(sf, sg)
 
 
 def test_subarrangement_morphism():
@@ -206,9 +206,9 @@ def test_deletion_lattice_matches_rebuild():
                     j, rebuilt.top
                 )
             assert dlat.charpoly() == rebuilt.charpoly()
-            # the deletion resolves each of its faces on first lookup
-            for signs, j in rebuilt.face_support.items():
-                assert dlat.face_support[signs] == j
+            # the deletion resolves each of its faces by its zero set
+            for f in rebuilt.faces:
+                assert dlat.support(f.signs) == rebuilt.support(f.signs)
 
 
 def test_deletion_index_out_of_range():
@@ -266,7 +266,6 @@ def test_flat_index_out_of_range():
             lambda x: lat.leq(inside, x),
             lambda x: lat.join(x, inside),
             lambda x: lat.join(inside, x),
-            lat.above_mask,
             lat.mobius_row,
             lambda x: flat_multiply(lat, {x: 1}, {inside: 1}),
             lambda x: flat_multiply(lat, {inside: 1}, {x: 1}),

@@ -6,9 +6,13 @@ arrangement and for every deletion, on random small rational arrangements
 of each kind; every deletion's lattice, read off the flats, against the
 one built from the images of the faces; the deletion-restriction check
 through one restriction map against the two-map check in `oracles`, for
-every hyperplane; and the chambers of the Takeuchi and unit elements
-pushed forward to each deletion against their support sums."""
+every hyperplane; the chambers of the Takeuchi and unit elements
+pushed forward to each deletion against their support sums; the support
+of every face against its zero set, with NotAFace for sign vectors that
+are not faces; gradedness against the cover scan in `oracles` on flats
+with one rank moved; and the Mobius columns a deletion check builds."""
 
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -16,9 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from titskit import elements
 from titskit.elements import verify_deletion_restriction
-from titskit.geometry import enumerate_faces
-from titskit.lattice import FlatLattice, build_lattice, deletion_lattice
+from titskit.geometry import NotAFace, enumerate_faces
+from titskit.lattice import (
+    Flat,
+    FlatLattice,
+    UngradedLattice,
+    build_lattice,
+    deletion_lattice,
+)
 from titskit.tits import (
     is_characteristic,
     pushforward,
@@ -35,6 +46,7 @@ from oracles import (
     mobius_table,
     validate_graded,
     verify_deletion_restriction_two_maps,
+    zero_set,
 )
 from test_enumeration_oracle import KINDS, arrangements
 
@@ -81,7 +93,8 @@ def test_lattice_matches_rank_oracle(kind, data):
     lat = build_lattice(arr, faces)
     oracle = build_lattice_rank(arr, faces)
     _assert_same_flats(lat, oracle, faces)
-    assert lat.face_support == oracle.face_support
+    for f in faces:
+        assert lat.support(f.signs) == oracle.support(f.signs)
     # a deletion reads the flats alone, not the face map
     bare = FlatLattice(arr, lat.flats)
     for h in range(arr.m):
@@ -92,9 +105,9 @@ def test_lattice_matches_rank_oracle(kind, data):
         sub_faces = enumerate_faces(sub)
         _assert_same_flats(dlat, oracle_dlat, sub_faces)
         rebuilt = build_lattice(sub, sub_faces)
-        # the deletion resolves each of its faces on first lookup
-        for signs, x in rebuilt.face_support.items():
-            assert dlat.face_support[signs] == x
+        # the deletion resolves each of its faces by its zero set
+        for f in sub_faces:
+            assert dlat.support(f.signs) == rebuilt.support(f.signs)
         assert deletion_lattice(arr, bare, h)[1].flats == dlat.flats
 
 
@@ -109,11 +122,11 @@ def test_deletion_lattice_matches_face_image_oracle(kind, data):
     faces = enumerate_faces(arr)
     lat = build_lattice(arr, faces)
     bare = FlatLattice(arr, lat.flats)
-    assert dict(bare.face_support) == {}
+    assert bare.faces is None
     by_rank_full = build_lattice_rank(arr, faces)
     for h in range(arr.m):
         fmap, dlat = deletion_lattice(arr, lat, h)
-        image_map, by_images = deletion_lattice_images(arr, lat, h)
+        image_map, by_images, images = deletion_lattice_images(arr, lat, h)
         _, by_rank = deletion_lattice_rank(arr, by_rank_full, h)
         assert fmap.indices == image_map.indices
         for oracle in (by_images, by_rank):
@@ -125,14 +138,15 @@ def test_deletion_lattice_matches_face_image_oracle(kind, data):
             ]
             assert dlat.charpoly() == oracle.charpoly()
         rebuilt = build_lattice(fmap.target, enumerate_faces(fmap.target))
-        assert set(by_images.face_support) == set(rebuilt.face_support)
-        for signs, x in rebuilt.face_support.items():
-            assert dlat.face_support[signs] == x
-            assert by_images.face_support[signs] == x
+        assert set(images) == set(rebuilt.faces.sign_vectors())
+        for signs in rebuilt.faces.sign_vectors():
+            x = rebuilt.support(signs)
+            assert dlat.support(signs) == x
+            assert images[signs] == x
         from_bare = deletion_lattice(arr, bare, h)[1]
         assert from_bare.flats == dlat.flats
-        for signs, x in rebuilt.face_support.items():
-            assert from_bare.face_support[signs] == x
+        for signs in rebuilt.faces.sign_vectors():
+            assert from_bare.support(signs) == rebuilt.support(signs)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -175,3 +189,120 @@ def test_deletion_pushforward_matches_support_sums(kind, data):
             )
             if dlat.rank_top() == lat.rank_top():
                 assert chambers == dlat.charpoly()(t)
+
+
+def _zero_set_map(lat):
+    """The oracle support: a sign vector to the flat whose closure is its
+    zero set, read from the flats alone."""
+    index = {f.closure: i for i, f in enumerate(lat.flats)}
+    return lambda signs: index[zero_set(signs)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_support_matches_zero_set_oracle(kind, data):
+    """support sends every face to the flat of its zero set: on the lattice
+    of the faces (through the face set's packed keys), on the same flats
+    without the face set, and on every deletion's lattice."""
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    bare = FlatLattice(arr, lat.flats)
+    assert lat.faces is faces and bare.faces is None
+    for one in (lat, bare):
+        oracle = _zero_set_map(one)
+        for signs in faces.sign_vectors():
+            assert one.support(signs) == oracle(signs)
+    for h in range(arr.m):
+        fmap, dlat = deletion_lattice(arr, lat, h)
+        oracle = _zero_set_map(dlat)
+        for signs in enumerate_faces(fmap.target).sign_vectors():
+            assert dlat.support(signs) == oracle(signs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_support_rejects_sign_vectors_that_are_not_faces(kind, data):
+    """On the lattice of the faces, each one-entry mutation of a face that
+    is not a face, and each sign vector one entry too long or too short,
+    raises NotAFace; a mutation that is a face maps by its zero set."""
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    oracle = _zero_set_map(lat)
+    signs = data.draw(st.sampled_from(faces.sign_vectors()))
+    wrong_length = [signs + (s,) for s in (-1, 0, 1)] + [signs[:-1]] * bool(signs)
+    for j in range(arr.m):
+        for s in {-1, 0, 1} - {signs[j]}:
+            mutated = signs[:j] + (s,) + signs[j + 1:]
+            if mutated in faces:
+                assert lat.support(mutated) == oracle(mutated)
+                continue
+            with pytest.raises(NotAFace, match="is not a face"):
+                lat.support(mutated)
+    for bad in wrong_length:
+        with pytest.raises(NotAFace, match="is not a face"):
+            lat.support(bad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_ungraded_exactly_when_cover_oracle_raises(kind, data):
+    """The flats of an arrangement with one rank moved: FlatLattice raises
+    UngradedLattice exactly when `validate_graded` does, on the same first
+    cover and with the same message."""
+    arr = data.draw(arrangements(kind))
+    flats = list(build_lattice(arr, enumerate_faces(arr)).flats)
+    i = data.draw(st.integers(0, len(flats) - 1))
+    shift = data.draw(st.sampled_from((-2, -1, 1, 2)))
+    f = flats[i]
+    flats[i] = Flat(closure=f.closure, dim=f.dim + shift, rank=f.rank + shift)
+    try:
+        validate_graded(flats)
+    except UngradedLattice as expected:
+        with pytest.raises(UngradedLattice) as raised:
+            FlatLattice(arr, flats)
+        assert str(raised.value) == str(expected)
+    else:
+        FlatLattice(arr, flats)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(data=st.data())
+def test_deletion_check_builds_one_column_per_deletion_lattice(kind, data):
+    """verify_deletion_restriction reads chi(A minus H) from one Mobius
+    column of the deletion's lattice, the top one, and builds each column
+    of the full lattice once: the top and the flats {h}."""
+    arr = data.draw(arrangements(kind))
+    faces = enumerate_faces(arr)
+    lat = build_lattice(arr, faces)
+    built, deletions = Counter(), []
+    column = FlatLattice._column
+
+    def counted(self, x):
+        built[id(self), x] += x not in self._columns
+        return column(self, x)
+
+    def recorded(*args):
+        fmap, dlat = deletion_lattice(*args)
+        deletions.append(dlat)
+        return fmap, dlat
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FlatLattice, "_column", counted)
+        mp.setattr(elements, "deletion_lattice", recorded)
+        for h in range(arr.m):
+            verify_deletion_restriction(arr, faces, lat, h)
+    assert len(deletions) == arr.m
+    for dlat in deletions:
+        assert {x: n for (i, x), n in built.items() if i == id(dlat)} == {
+            dlat.top: 1
+        }
+    wanted = {x for h in range(arr.m) for x in (lat.top, lat.index_of({h}))}
+    assert {x: n for (i, x), n in built.items() if i == id(lat)} == dict.fromkeys(
+        wanted, 1
+    )

@@ -218,7 +218,8 @@ def test_characters_reject_sign_vectors_that_are_not_faces():
         ):
             with pytest.raises(NotAFace, match=r"\+-\+ is not a face"):
                 query()
-    assert (1, -1, 1) not in lat.face_support
+    with pytest.raises(NotAFace, match=r"\+-\+ is not a face"):
+        lat.support((1, -1, 1))
     # the same flats with no face map, and a deletion's lattice, map any
     # sign vector by its zero set
     bare = FlatLattice(arr, lat.flats)
@@ -355,7 +356,7 @@ def test_character_matrix_rank_and_kernel():
         rows = [
             [
                 Fraction(1)
-                if lat.leq(lat.face_support[s], x)
+                if lat.leq(lat.support(s), x)
                 else Fraction(0)
                 for s in signs
             ]

@@ -22,16 +22,18 @@ from titskit.lattice import (
     charpoly_under,
     subarrangement_map,
 )
-from titskit.scalars import Poly
+from titskit.scalars import Poly, T
 from titskit.tits import (
     NotClosed,
     TitsElement,
+    _divided,
     _support_sums,
     basis_element,
     chamber_sum,
     character,
     compose_signs,
     flat_multiply,
+    is_characteristic,
     multiply,
     pushforward,
     q_basis,
@@ -152,21 +154,28 @@ def test_mixed_rationals_match_running_sums(kind, data):
 def test_support_sum_reads_the_one_pass_sums(kind, data):
     """support_sum and chamber_sum read _support_sums, whose value at each
     flat is the running sum of the faces supported there, in the same
-    order; a flat index outside [0, len) raises."""
+    order; a flat index outside [0, len) raises.  Characters, alone and in
+    is_characteristic, are the scan's sums (exactly, for the exact
+    scalars)."""
     arr = data.draw(arrangements(kind))
     faces = enumerate_faces(arr)
     lat = build_lattice(arr, faces)
     for scalar in SCALARS:
         w = _element(data, arr, faces, scalar)
-        sums = _support_sums(lat, w)
+        sums = _divided(*_support_sums(lat, w))
         for x in range(len(lat)):
             scan = sum((c for s, c in w.coeffs.items()
-                        if lat.face_support[s] == x), 0)
+                        if lat.support(s) == x), 0)
             assert support_sum(lat, w, x) == sums.get(x, 0) == scan
         assert chamber_sum(lat, w) == sums.get(lat.top, 0)
         for x in (-1, len(lat)):
             with pytest.raises(IndexOutOfRange):
                 support_sum(lat, w, x)
+        chars = [character(lat, w, x) for x in range(len(lat))]
+        if scalar != "float":  # the scan adds floats in another order
+            assert chars == characters_scan(lat.flats, w)
+        t = {"rational": Fraction(-1), "poly": T, "float": 1.0}[scalar]
+        assert [e[1] for e in is_characteristic(lat, w, t).entries] == chars
 
 
 def _flat_element(data, lat, scalar):
