@@ -35,6 +35,7 @@ from .lattice import (
     Flat,
     FlatLattice,
     IndexOutOfRange,
+    NotAFlat,
     NotComparable,
     SubarrangementMap,
     UngradedLattice,

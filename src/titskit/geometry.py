@@ -1,7 +1,8 @@
 """Real affine hyperplane arrangements and their face decompositions.
 
 A hyperplane is stored in a canonical form (integer coprime normal, first
-nonzero entry positive), so equality of hyperplanes is structural equality.
+nonzero entry positive: linalg's integer normal form), so equality of
+hyperplanes is structural equality.
 Faces are the relatively open cells of the induced decomposition of R^n,
 identified with their sign vectors over the hyperplane list.  Enumeration
 uses no LP: hyperplane j is lifted to (a_j, -b_j) in Q^(n+1), x0 = 0 is
@@ -23,9 +24,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .linalg import _idot, common_denominator, dot, matrix_rank, nullspace
+from .linalg import _idot, _integer_row, _line, _primitive, dot, matrix_rank, nullspace
 
 
 class ZeroNormal(ValueError):
@@ -72,21 +72,16 @@ class Hyperplane:
 
 
 def canonicalize(normal, offset):
-    """Scale (normal, offset) to coprime integer normal, first nonzero > 0."""
-    fs = [Fraction(c) for c in normal]
-    if all(f == 0 for f in fs):
+    """Scale (normal, offset) so that the normal is its line in linalg's
+    integer normal form (linalg._line): coprime integers, first nonzero
+    entry positive."""
+    ints, den = _integer_row([Fraction(c) for c in normal])
+    if not any(ints):
         raise ZeroNormal("hyperplane normal is the zero vector")
-    den = common_denominator(fs)
-    ints = [int(f * den) for f in fs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    lead = next(v for v in ints if v != 0)
-    sign = 1 if lead > 0 else -1
-    scale = Fraction(sign * den, g)
+    line = _line(ints)
+    k = next(i for i, c in enumerate(ints) if c)
     return Hyperplane(
-        normal=tuple([sign * v // g for v in ints]),
-        offset=Fraction(offset) * scale,
+        normal=line, offset=Fraction(offset) * Fraction(den * line[k], ints[k])
     )
 
 
@@ -291,11 +286,7 @@ def _bits(mask):
 def _lift(arr):
     """Homogenized integer rows: (a_j, -b_j) scaled by the denominator of
     b_j for each hyperplane a_j . x = b_j, then the row of x0 at index m."""
-    rows = [
-        tuple([c * h.offset.denominator for c in h.normal])
-        + (-h.offset.numerator,)
-        for h in arr.hyperplanes
-    ]
+    rows = [tuple(_integer_row([*h.normal, -h.offset])[0]) for h in arr.hyperplanes]
     rows.append((0,) * arr.dim + (1,))
     return rows
 
@@ -329,8 +320,7 @@ def _cut(basis, row):
             out.append(b if rates[p] > 0 else tuple([-x for x in b]))
         elif i != p:
             v = [rates[p] * x - r * y for x, y in zip(b, basis[p])]
-            g = gcd(*v)
-            out.append(tuple([x // g for x in v]))
+            out.append(_primitive(v))
     return out
 
 
@@ -426,14 +416,6 @@ def _covectors(cocircuits, nrows, start):
                 below[y] = 0
                 work.append(y)
     return below
-
-
-def _line(row):
-    """The primitive integer row spanning the same line, first nonzero
-    entry positive."""
-    g = gcd(*row)
-    lead = next(c for c in row if c)
-    return tuple([(c if lead > 0 else -c) // g for c in row])
 
 
 @lru_cache(maxsize=256)

@@ -40,16 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acos, gcd, pi, sqrt
+from math import acos, pi, sqrt
 
 from .geometry import (
     _cone_rays,
     _covectors,
-    _line,
     _same_arrangement,
     recession_cone,
 )
-from .linalg import _idot, common_denominator, matrix_rank, projection_matrix
+from .linalg import _idot, _integer_row, _line, _primitive, matrix_rank, projection_matrix
 from .scalars import Poly
 from .tits import TitsElement, multiply
 
@@ -90,12 +89,12 @@ def _complement(rows, n):
 @lru_cache(maxsize=1024)
 def _line_complement(lines, n):
     p = projection_matrix(list(lines), n)  # onto the span of the lines
-    den = common_denominator(c for row in p for c in row)
-    m = tuple([
-        tuple([den * (i == j) - int(c * den) for j, c in enumerate(row)])
-        for i, row in enumerate(p)
-    ])
-    return n - int(sum(p[i][i] for i in range(n))), den, m
+    # I - P projects onto the complement; scaled to den (I - P), its trace
+    # is den times the complement's dimension
+    eye_minus_p = [(i == j) - c for i, row in enumerate(p) for j, c in enumerate(row)]
+    ints, den = _integer_row(eye_minus_p)
+    m = tuple([tuple(ints[i : i + n]) for i in range(0, n * n, n)])
+    return sum(ints[:: n + 1]) // den, den, m
 
 
 def cone_faces(cone):
@@ -231,13 +230,6 @@ def try_exact_profile(cone):
         half_width=(0.0,) * len(values),
         method="exact",
     )
-
-
-def _primitive(ints):
-    """The integer row divided by the gcd of its entries: the multiple with
-    coprime entries, whose sign on any point is the row's."""
-    g = gcd(*ints)
-    return tuple([c // g for c in ints]) if g else tuple(ints)
 
 
 def _cells(cone):

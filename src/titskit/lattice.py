@@ -53,6 +53,10 @@ class UngradedLattice(RuntimeError):
     """A cover relation that does not raise rank by one."""
 
 
+class NotAFlat(ValueError):
+    """A set of hyperplanes that is the closure of no flat."""
+
+
 @dataclass(frozen=True)
 class Flat:
     """A flat: the set of hyperplanes containing it, plus dimension data."""
@@ -70,8 +74,10 @@ class FlatLattice:
         self.arr = arr
         self.flats = tuple(flats)
         self.faces = faces
-        self._by_mask = {sum([1 << j for j in f.closure]): i
+        self._by_mask = {self._mask(f.closure): i
                          for i, f in enumerate(self.flats)}
+        if 0 not in self._by_mask:
+            raise ValueError("flats must include the ambient space")
         self.top = self._by_mask[0]
         self.d = self.flats[0].dim - self.flats[0].rank
         # built on first use: Q basis, join rows, Mobius columns, matched
@@ -104,6 +110,15 @@ class FlatLattice:
     def __len__(self):
         return len(self.flats)
 
+    def _mask(self, indices):
+        """The bitmask of a set of hyperplane indices, each in [0, m)."""
+        mask = 0
+        for j in indices:
+            if not 0 <= j < self.arr.m:
+                raise IndexOutOfRange(f"hyperplane index {j} out of range")
+            mask |= 1 << j
+        return mask
+
     def _checked(self, x):
         if not 0 <= x < len(self.flats):
             raise IndexOutOfRange(f"no flat with index {x}")
@@ -113,7 +128,11 @@ class FlatLattice:
         return self.flats[self._checked(x)]
 
     def index_of(self, closure):
-        return self._by_mask[sum({1 << j for j in closure})]
+        """Index of the flat on exactly the hyperplanes of closure."""
+        mask = self._mask(closure)
+        if mask not in self._by_mask:
+            raise NotAFlat(f"no flat lies on exactly hyperplanes {sorted(_bits(mask))}")
+        return self._by_mask[mask]
 
     def support(self, signs):
         """Index of the flat a face spans, the flat of its zero mask.  With
@@ -122,12 +141,12 @@ class FlatLattice:
         signs, and only a zero set that is no flat raises."""
         try:
             if self.faces is None:
-                zeros = sum([1 << j for j, s in enumerate(signs) if not s])
+                zeros = self._mask([j for j, s in enumerate(signs) if not s])
             else:
                 key, m = self.faces.packed()[signs], self.arr.m
                 zeros = (1 << m) - 1 & ~(key | key >> m)
             return self._by_mask[zeros]
-        except KeyError:
+        except (KeyError, IndexOutOfRange):
             raise NotAFace(f"{signs_to_str(signs)} is not a face") from None
 
     def leq(self, y, x):

@@ -1,4 +1,12 @@
-"""Dense exact linear algebra over int or Fraction entries, at desk scale.
+"""Dense exact linear algebra over int or Fraction entries, at desk scale,
+and the one integer normal form of the library.
+
+The normal form: a rational row is scaled to integers by the lcm of its
+denominators (_integer_row) and kept primitive by the gcd of its entries
+(_primitive); a nonzero row's line (_line) is its primitive multiple
+oriented by its first nonzero entry.  The hyperplanes' canonical form
+(geometry.canonicalize) and the lines that key the cone caches are such
+lines; the library takes no gcd outside this module.
 
 Every routine runs one fraction-free Gauss-Jordan elimination (Bareiss,
 1968): rows scaled to integers, eliminated by cross-multiplication and
@@ -22,15 +30,36 @@ def _idot(u, v):
 
 
 def _integer_row(row):
+    """(ints, den): the int or Fraction row times den, the lcm of its
+    denominators, the least positive integer that makes every entry one."""
     den = lcm(*[c.denominator for c in row])
-    return [c.numerator * (den // c.denominator) for c in row]
+    return [c.numerator * (den // c.denominator) for c in row], den
+
+
+def _primitive(ints):
+    """The integer row divided by the gcd of its entries, as a tuple: the
+    multiple with coprime entries, whose sign on any point is the row's.
+    A zero row stays as it is."""
+    g = gcd(*ints)
+    return tuple([c // g for c in ints]) if g else tuple(ints)
+
+
+def _line(row):
+    """The primitive integer row spanning the same line as the nonzero
+    integer row, first nonzero entry positive: _primitive, with the gcd
+    negated when the row's first nonzero entry is negative."""
+    g = gcd(*row)
+    if next(c for c in row if c) < 0:
+        g = -g
+    return tuple([c // g for c in row])
 
 
 def _eliminate(rows):
-    """(m, pivots): m the rows' reduced row echelon form with pivot row r
-    scaled to primitive integers (its pivot, in column pivots[r], need not
-    be 1), zero rows last."""
-    m = list(map(_integer_row, rows))
+    """(m, pivots): m the rows' reduced row echelon form in integers, zero
+    rows last.  Pivot row r has its pivot in column pivots[r], not
+    necessarily 1, and each row an elimination step changed is primitive:
+    divided by its gcd, as _primitive does."""
+    m = [_integer_row(row)[0] for row in rows]
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -91,7 +120,7 @@ def projection_matrix(vectors, n):
     elimination of [B B^T | B] gives one.  The vectors need not be
     independent, and scaling them to integer rows leaves P as it is.
     """
-    b = list(map(_integer_row, vectors))
+    b = [_integer_row(v)[0] for v in vectors]
     k = len(b)
     m, pivots = _eliminate([[_idot(u, v) for v in b] + u for u in b])
     # row r of Y is m[r][k:] / m[r][pc] at pc = pivots[r], and 0 elsewhere
@@ -107,7 +136,4 @@ def projection_matrix(vectors, n):
 
 
 def common_denominator(fractions_iter):
-    d = 1
-    for f in fractions_iter:
-        d = lcm(d, Fraction(f).denominator)
-    return d
+    return lcm(*[Fraction(f).denominator for f in fractions_iter])

@@ -123,7 +123,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        # a constant equals its scalar, so it hashes as its one coefficient
+        # or, for the zero polynomial, as 0: the sum of at most one entry
+        return hash(("Poly", self.coeffs) if len(self.coeffs) > 1 else sum(self.coeffs))
 
     def __repr__(self):
         return f"Poly({poly_str(self)!r})"

@@ -83,13 +83,19 @@ same search for a chunk of dyadic samples at once, over one common
 denominator of every face projection) are the nearest-point classifier
 and the Monte Carlo kernel as they were before `titskit.intrinsic` gave
 each sample its face by sign tests on the faces' Moreau cells.
+
+`canonicalize_gcd`, `line_gcd` and `primitive_gcd` are the hyperplane
+normal form, the oriented primitive line of an integer row and the
+primitive multiple of an integer row, each with its own gcd, as they were
+before `titskit.linalg` held the one integer normal form;
+`cone_rays_below` reads its lines from `line_gcd`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import acos, lcm, pi, sqrt
+from math import acos, gcd, lcm, pi, sqrt
 
 from titskit import intrinsic
 from titskit.elements import DeletionReport
@@ -98,13 +104,14 @@ from titskit.geometry import (
     ArrangementMismatch,
     Face,
     FaceSet,
+    Hyperplane,
     NotAFace,
     WitnessMismatch,
+    ZeroNormal,
     _bits,
     _cocircuits,
     _cone_rays,
     _lift,
-    _line,
     _sign_masks,
     lineality_space,
     signs_to_str,
@@ -139,6 +146,40 @@ from titskit.tits import (
 
 def matvec(m, x):
     return tuple(dot(row, x) for row in m)
+
+
+def canonicalize_gcd(normal, offset):
+    """Scale (normal, offset) to coprime integer normal, first nonzero > 0."""
+    fs = [Fraction(c) for c in normal]
+    if all(f == 0 for f in fs):
+        raise ZeroNormal("hyperplane normal is the zero vector")
+    den = common_denominator(fs)
+    ints = [int(f * den) for f in fs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    lead = next(v for v in ints if v != 0)
+    sign = 1 if lead > 0 else -1
+    scale = Fraction(sign * den, g)
+    return Hyperplane(
+        normal=tuple([sign * v // g for v in ints]),
+        offset=Fraction(offset) * scale,
+    )
+
+
+def line_gcd(row):
+    """The primitive integer row spanning the same line, first nonzero
+    entry positive."""
+    g = gcd(*row)
+    lead = next(c for c in row if c)
+    return tuple([(c if lead > 0 else -c) // g for c in row])
+
+
+def primitive_gcd(ints):
+    """The integer row divided by the gcd of its entries: the multiple with
+    coprime entries, whose sign on any point is the row's."""
+    g = gcd(*ints)
+    return tuple([c // g for c in ints]) if g else tuple(ints)
 
 
 def rref(rows):
@@ -414,7 +455,7 @@ def cone_rays_below(cone):
     signs = {}
     for j, row in enumerate(rows):
         if any(row):
-            line = _line(row)
+            line = line_gcd(row)
             s = 0 if j < n_eq else 1 if _idot(row, line) > 0 else -1
             signs[line] = s if signs.get(line, s) == s else 0
     lines = sorted(signs)

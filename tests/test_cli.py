@@ -309,6 +309,25 @@ def test_library_imports_are_used():
     assert unused == []
 
 
+def test_integer_normal_form_lives_in_linalg():
+    # scaling to integers and dividing by the gcd are linalg's alone: no
+    # other module imports gcd from math or calls common_denominator
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "titskit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an imported name, a bare name, or one read as module.name
+            names = [a.name for a in getattr(node, "names", [])]
+            names += [getattr(node, "id", None), getattr(node, "attr", None)]
+            for name in {"gcd", "common_denominator"}.intersection(names):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_failing_check_exits_1(capsys, monkeypatch):
     def fake(arr, faces, lattice, args):
         return {}, [{"name": "forced", "ok": False}], ["boom"], {}

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from titskit.elements import braid_arrangement
-from titskit.geometry import ArrangementMismatch, enumerate_faces
+from titskit.geometry import ArrangementMismatch, NotAFace, enumerate_faces
 from titskit.lattice import (
     Flat,
     FlatLattice,
     IndexOutOfRange,
+    NotAFlat,
     NotComparable,
     UngradedLattice,
     build_lattice,
@@ -252,6 +253,49 @@ def test_flats_out_of_rank_order_rejected():
     arr, _, lat = get_trio("braid3")
     with pytest.raises(ValueError, match="in order of rank"):
         FlatLattice(arr, reversed(lat.flats))
+
+
+def test_index_of_rejects_sets_that_are_no_flat():
+    _, _, lat = get_trio("braid3")
+    for closure in ({0, 1}, {0, 2}, [1, 2]):  # two lines in general position
+        with pytest.raises(NotAFlat, match="no flat lies on exactly"):
+            lat.index_of(closure)
+    for closure in ({7}, {0, 3}, {-1}):
+        with pytest.raises(IndexOutOfRange, match="hyperplane index"):
+            lat.index_of(closure)
+    assert issubclass(NotAFlat, ValueError)
+
+
+def test_lattice_needs_the_ambient_space():
+    arr, _, lat = get_trio("braid3")
+    for flats in ([], lat.flats[:-1], lat.flats[:1]):
+        with pytest.raises(ValueError, match="ambient space"):
+            FlatLattice(arr, flats)
+
+
+def test_flat_on_a_missing_hyperplane_rejected():
+    arr, _, lat = get_trio("braid3")
+    for j in (7, 3, -1):
+        bad = Flat(closure=frozenset({j}), dim=2, rank=1)
+        with pytest.raises(IndexOutOfRange, match=f"hyperplane index {j}"):
+            FlatLattice(arr, [lat.flats[0], bad, lat.flats[-1]])
+
+
+@pytest.mark.parametrize("name", STANDARD)
+def test_valid_lookups_unchanged(name):
+    arr, faces, lat = get_trio(name)
+    bare = FlatLattice(arr, lat.flats)
+    for lattice in (lat, bare):
+        for i, f in enumerate(lattice.flats):
+            assert lattice.index_of(f.closure) == i
+            assert lattice.index_of(sorted(f.closure) * 2) == i
+        assert lattice.index_of(()) == lattice.top
+        for f in faces:
+            zeros = frozenset(j for j, s in enumerate(f.signs) if not s)
+            assert lattice.flats[lattice.support(f.signs)].closure == zeros
+    # without the face set a zero past the last hyperplane is no face
+    with pytest.raises(NotAFace):
+        bare.support((0,) * (arr.m + 1))
 
 
 def test_flat_index_out_of_range():

@@ -264,6 +264,8 @@ def test_characteristic_entries_follow_the_parameter_type():
     assert is_characteristic(lat, u, 1).entries[0] is is_characteristic(
         lat, u, 1
     ).entries[0]
+    # Poly((1,)) == 1 and they hash alike, yet the table keys on the type too
+    assert {key[0] for key in lat._matched} == {int, Fraction, float, Poly}
 
 
 def test_takeuchi_squares_to_unit():
