@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .geometry import (
     DuplicateHyperplane,
@@ -191,11 +192,10 @@ def coordinate_element(faces):
     if faces.arr.kind != "coordinate":
         raise WrongFamily("coordinate element needs a coordinate arrangement")
     t_minus_1 = Poly((Fraction(-1), Fraction(1)))
-    out = {}
-    for f in faces:
-        if all(s >= 0 for s in f.signs):
-            out[f.signs] = t_minus_1 ** f.dim
-    return TitsElement(faces.arr, out)
+    powers = [t_minus_1 ** k for k in range(faces.arr.dim + 1)]
+    return TitsElement(faces.arr, {
+        f.signs: powers[f.dim] for f in faces if all(s >= 0 for s in f.signs)
+    })
 
 
 @dataclass(frozen=True)
@@ -307,22 +307,37 @@ def verify_kung(lattice, s, t):
         chi(A, st) = sum_X t^rank(X) chi(A^X, s) chi(A_X, t)
                    = sum over pairs X, Y with X join Y = top of
                      chi(A^X, s) chi(A^Y, t).
+
+    Both sums are taken as integer numerators over one common denominator
+    (b d)^r, for s = a/b, t = c/d and r the rank of the top flat: a
+    polynomial sum_j p_j s^j of degree at most r is the numerator
+    sum_j p_j a^j b^(r - j) over b^r, and t^rank(X) chi(A_X, t) is one
+    such polynomial in t, its coefficients shifted up by rank(X).  Each
+    sum becomes one Fraction at the end.
     """
     s = Fraction(s)
     t = Fraction(t)
+    r = lattice.rank_top()
+    a, b, c, d = s.numerator, s.denominator, t.numerator, t.denominator
+    # the numerators of s^j over b^r and of t^j over d^r, j = 0..r
+    s_num = [a ** j * b ** (r - j) for j in range(r + 1)]
+    t_num = [c ** j * d ** (r - j) for j in range(r + 1)]
     flats = range(len(lattice))
-    under = [charpoly_under(lattice, x) for x in flats]
-    under_s = [p(s) for p in under]
-    under_t = [p(t) for p in under]
-    over_t = [charpoly_over(lattice, x)(t) for x in flats]
-    lhs = lattice.charpoly()(s * t)
-    flat_sum = sum(
-        (t ** lattice.flat(x).rank * under_s[x] * over_t[x] for x in flats),
-        Fraction(0),
-    )
-    pair_sum = Fraction(0)
-    for x in flats:  # grouped by x, each join read from x's join row
+    under = [charpoly_under(lattice, x).coeffs for x in flats]
+    under_s = [sum(map(mul, p, s_num)) for p in under]
+    under_t = [sum(map(mul, p, t_num)) for p in under]
+    top = lattice.top
+    flat_num = pair_num = 0
+    for x in flats:  # pairs grouped by x, each join read from x's join row
+        over = charpoly_over(lattice, x).coeffs
+        flat_num += under_s[x] * sum(map(mul, over, t_num[lattice.flats[x].rank:]))
         row = lattice._join_row(x)
-        joined = (under_t[y] for y in flats if row[y] == lattice.top)
-        pair_sum += under_s[x] * sum(joined, Fraction(0))
-    return KungReport(s=s, t=t, lhs=lhs, flat_sum=flat_sum, pair_sum=pair_sum)
+        pair_num += under_s[x] * sum([under_t[y] for y in flats if row[y] == top])
+    den = (b * d) ** r
+    return KungReport(
+        s=s,
+        t=t,
+        lhs=lattice.charpoly()(s * t),
+        flat_sum=Fraction(flat_num, den),
+        pair_sum=Fraction(pair_num, den),
+    )

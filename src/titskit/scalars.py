@@ -48,10 +48,11 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        tail = [c + 0 for c in a[len(b):]]
+        return Poly([x + y for x, y in zip(a, b)] + tail)
 
     __radd__ = __add__
 

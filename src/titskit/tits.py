@@ -28,24 +28,29 @@ The flat algebra, H_X H_Y = H_{X join Y}, is the support image of the Tits
 algebra and is star-factored alike: H_x pushes v to sum_y c_y H_{x join y},
 each join read from x's join row, an array built when x is first pushed.
 Each push starts from one made at a flat below x (x' <= x gives x join y =
-x join (x' join y)) or from v.  A push that cancels does so at every flat
-above x too, and those are skipped; for Q_X Q_Y nearly every push cancels,
-as H_Z Q_Y = 0 unless Z <= Y.
+x join (x' join y)) or from v.  Each push keeps its floor, the flats below
+all of its keys: at an x in the floor of its starting push, x join z = z
+for every key z, so the push at x is that push itself, shared and not built
+again.  A push that cancels does so at every flat above x too, and those
+are skipped.  For Q_X Q_Y nearly every push cancels, as H_Z Q_Y = 0 unless
+Z <= Y, and the flats Z <= Y all share the one push Q_Y.
 
 Characters are indexed by flats: chi_X(w) adds w's support sums, taken in
 one pass over w, over the flats below X, as integer numerators over w's
 one denominator, and divides once per flat; support_sum reads the same
 pass.
 An element is characteristic for a parameter t when chi_X(w) = t^rank(X)
-for every flat X; a matched entry is shared, from one table per lattice
-and t.
+for every flat X; a matched entry is shared, from one tuple per lattice
+and t, and a report whose every entry matches shares that tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import and_
 from types import MappingProxyType
 
 from .geometry import NotAFace, _same_arrangement, signs_to_str
@@ -269,16 +274,20 @@ def is_characteristic(lattice, w, t, tol=None):
     key = (type(t), t)  # as 1 == Fraction(1) == 1.0
     if key not in lattice._matched:
         powers = [t ** k for k in range(lattice.rank_top() + 1)]
-        lattice._matched[key] = [(x, powers[f.rank], powers[f.rank], 0)
-                                 for x, f in enumerate(lattice.flats)]
+        lattice._matched[key] = tuple([(x, powers[f.rank], powers[f.rank], 0)
+                                       for x, f in enumerate(lattice.flats)])
+    matched = lattice._matched[key]
     sums, den = _support_sums(lattice, w)
     entries = []
-    for x, match in enumerate(lattice._matched[key]):
+    for x, match in enumerate(matched):
         lhs = _character(lattice, sums, den, x)
         dev = 0 if lhs == match[2] else _magnitude(lhs - match[2])
         entries.append((x, lhs, match[2], dev) if dev else match)
+    entries = tuple(entries)
+    if entries == matched:  # every entry matched: share the lattice's tuple
+        entries = matched
     ok = all(e[3] == 0 if tol is None else e[3] <= tol for e in entries)
-    return CharacteristicReport(parameter=t, ok=ok, entries=tuple(entries))
+    return CharacteristicReport(parameter=t, ok=ok, entries=entries)
 
 
 _SIGN = (Fraction(1), Fraction(-1))  # (-1)^k by the parity of k
@@ -327,25 +336,33 @@ def flat_multiply(lattice, u, v):
             if c != 0:
                 lattice._checked(x)
         source = [(y, c) for y, c in source if c != 0]
-    above = lattice._above
-    pushes = []  # (above-set of x, push of v at x), x increasing
+    above, below = lattice._above, lattice._below
+    pushes = []  # (above-set of x, push of v at x, its floor), x increasing
     dead = 0  # the flats above a flat whose push cancelled
     out = {}
     for x in xs:
         cx = u[x]
         if cx == 0 or dead >> x & 1:
             continue
-        row = lattice._join_row(x)
-        base = next((p for ux, p in reversed(pushes) if ux >> x & 1), source)
-        push = {}
-        for y, c in base:
-            z = row[y]
-            push[z] = push.get(z, 0) + c
-        push = [(z, c) for z, c in push.items() if c != 0]
-        if not push:
-            dead |= above[x]
-            continue
-        pushes.append((above[x], push))
+        for base in reversed(pushes):  # the latest push at a flat <= x
+            if base[0] >> x & 1:
+                break
+        else:
+            base = None
+        if base is not None and base[2] >> x & 1:  # x join z = z: the same push
+            push, floor = base[1], base[2]
+        else:
+            row = lattice._join_row(x)
+            push = {}
+            for y, c in source if base is None else base[1]:
+                z = row[y]
+                push[z] = push.get(z, 0) + c
+            push = [(z, c) for z, c in push.items() if c != 0]
+            if not push:
+                dead |= above[x]
+                continue
+            floor = reduce(and_, [below[z] for z, _ in push])
+        pushes.append((above[x], push, floor))
         for z, c in push:
             out[z] = out.get(z, 0) + cx * c
     return {z: c for z, c in out.items() if c != 0}

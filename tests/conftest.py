@@ -44,6 +44,7 @@ _BUILDERS = {
     "coord3": lambda: coordinate_arrangement(3),
     "coord4": lambda: coordinate_arrangement(4),
     "coord5": lambda: coordinate_arrangement(5),
+    "coord6": lambda: coordinate_arrangement(6),
     "triangle": _triangle,
     "parallel": _parallel_pair,
     "parallel+": _parallel_plus_transversal,

@@ -56,6 +56,13 @@ the interval) and `pushforward_sum` (each image coefficient a running sum
 of the scalars) are kept as they were before `titskit.lattice` read the
 polynomials as integer coefficient lists and `titskit.tits` summed
 rational coefficients as integer numerators over one common denominator.
+`horner` (Horner's rule on the coefficients' own arithmetic) and
+`poly_add` (one `+` per index, a missing coefficient read as int 0) are
+`Poly` evaluation and addition as they were before `titskit.scalars`
+zipped the two coefficient tuples; the charpoly sums add with `poly_add`,
+and `kung_pairs` evaluates with `horner`, so neither leans on `Poly`'s own
+arithmetic, and `verify_kung`'s integer numerators are checked against
+plain Fraction evaluation.
 
 `cone_faces_lp` (one LP per subset of inequalities), `implicit_equalities_lp`
 (one LP per inequality) and `project_to_cone_lp` (whose KKT check solves
@@ -94,7 +101,7 @@ before `titskit.linalg` held the one integer normal form;
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import acos, gcd, lcm, pi, sqrt
 
 from titskit import intrinsic
@@ -735,10 +742,29 @@ def flat_multiply_masks(lattice, u, v):
     return {(k & -k).bit_length() - 1: c for k, c in out.items() if c != 0}
 
 
+def horner(p, x):
+    """p(x) by Horner's rule, in whatever arithmetic the coefficients and x
+    provide; x may itself be a Poly."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_add(p, q):
+    """p + q, one `+` per index up to the longer length; a coefficient
+    past the end of the shorter operand reads as int 0."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly([(p.coeffs[k] if k < len(p.coeffs) else 0)
+                 + (q.coeffs[k] if k < len(q.coeffs) else 0)
+                 for k in range(n)])
+
+
 def charpoly_under_sum(lattice, x):
     """sum_{Y <= x} mu(Y, x) t^rank(Y), as a sum of polynomials."""
-    return sum((lattice.mobius(y, x) * T ** lattice.flat(y).rank
-                for y in lattice.below(x)), Poly())
+    terms = (lattice.mobius(y, x) * T ** lattice.flat(y).rank
+             for y in lattice.below(x))
+    return reduce(poly_add, terms, Poly())
 
 
 def charpoly_over_sum(lattice, x):
@@ -746,8 +772,9 @@ def charpoly_over_sum(lattice, x):
     polynomials."""
     rx = lattice.flat(x).rank
     top = lattice.top
-    return sum((lattice.mobius(y, top) * T ** (lattice.flat(y).rank - rx)
-                for y in lattice.above(x)), Poly())
+    terms = (lattice.mobius(y, top) * T ** (lattice.flat(y).rank - rx)
+             for y in lattice.above(x))
+    return reduce(poly_add, terms, Poly())
 
 
 def pushforward_sum(fmap, w):
@@ -771,15 +798,16 @@ def kung_pairs(lattice, s, t):
     under = {x: charpoly_under_sum(lattice, x) for x in flats}
     over = {x: charpoly_over_sum(lattice, x) for x in flats}
     flat_sum = sum(
-        (t ** lattice.flat(x).rank * under[x](s) * over[x](t) for x in flats),
+        (t ** lattice.flat(x).rank * horner(under[x], s) * horner(over[x], t)
+         for x in flats),
         Fraction(0),
     )
     pair_sum = Fraction(0)
     for x in flats:
         for y in flats:
             if lattice.join(x, y) == lattice.top:
-                pair_sum += under[x](s) * under[y](t)
-    return lattice.charpoly()(s * t), flat_sum, pair_sum
+                pair_sum += horner(under[x], s) * horner(under[y], t)
+    return horner(lattice.charpoly(), s * t), flat_sum, pair_sum
 
 
 def cone_faces_lp(cone):

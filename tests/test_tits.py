@@ -284,6 +284,30 @@ def test_characteristic_violations_reported():
     assert chi != expected and dev > 0
 
 
+def test_all_matched_reports_share_their_entries():
+    _, faces, lat = get_trio("braid3")
+    first = is_characteristic(lat, unit_element(faces), Fraction(1))
+    second = is_characteristic(lat, unit_element(faces), Fraction(1))
+    assert first.ok and second.ok
+    assert first.entries is second.entries
+    assert first.entries == tuple(
+        (x, Fraction(1), Fraction(1), 0) for x in range(len(lat))
+    )
+
+
+def test_report_with_a_mismatch_gets_its_own_entries():
+    _, faces, lat = get_trio("braid3")
+    shared = is_characteristic(lat, unit_element(faces), Fraction(1)).entries
+    rep = is_characteristic(lat, takeuchi_element(faces), Fraction(1))
+    assert not rep.ok and rep.entries is not shared
+    assert type(rep.entries) is tuple and len(rep.entries) == len(shared)
+    for entry, match in zip(rep.entries, shared):
+        x, chi, expected, dev = entry
+        assert expected == match[2]
+        assert entry is match if dev == 0 else dev == abs(chi - expected) > 0
+    assert rep.violations() == [e for e in rep.entries if e[3] != 0] != []
+
+
 def test_chamber_and_support_sums_evaluate_chi():
     for name in STANDARD:
         _, faces, lat = get_trio(name)

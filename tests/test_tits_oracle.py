@@ -316,6 +316,42 @@ def test_flat_product_and_kung_match_pairwise_oracle(kind, data):
 
 
 @pytest.mark.parametrize("name", ["braid4", "signed3", "coord4", "triangle"])
+def test_flat_product_below_the_floor_scales_one_push(name):
+    """H_X Q_Y = Q_Y for every X <= Y, where every push reuses the first: a
+    u on the flats below Y multiplies Q_Y by its coefficient sum, and by
+    nothing when that sum is 0."""
+    _, _, lat = get_trio(name)
+    for y, qy in q_basis(lat).items():
+        low = lat.below(y)
+        u = {x: Fraction(k % 3 - 1, k + 2) for k, x in enumerate(low)}
+        total = sum(u.values())
+        want = {z: total * c for z, c in qy.items() if total}
+        assert flat_multiply(lat, u, qy) == want
+        assert want == flat_multiply_pairs(lat, u, qy)
+        if low[0] != y:
+            assert flat_multiply(lat, {low[0]: 2, y: -2}, qy) == {}
+
+
+# s = 0, t = 0, both, and denominators 2 to 7 on either side
+KUNG_EDGES = [
+    (0, 2), (0, Fraction(-3, 7)), (Fraction(4, 7), 0), (-3, 0), (0, 0),
+    (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-3, 4), Fraction(2, 5)),
+    (Fraction(5, 6), Fraction(-6, 7)), (Fraction(3, 7), Fraction(7, 2)),
+]
+
+
+@pytest.mark.parametrize("name", ["braid5", "signed3", "coord6", "triangle"])
+@pytest.mark.parametrize("s, t", KUNG_EDGES)
+def test_kung_edge_parameters_match_pairwise_oracle(name, s, t):
+    _, _, lat = get_trio(name)
+    rep = verify_kung(lat, s, t)
+    got = (rep.lhs, rep.flat_sum, rep.pair_sum)
+    assert got == kung_pairs(lat, s, t)
+    assert all(type(v) is Fraction for v in got)
+    assert rep.ok
+
+
+@pytest.mark.parametrize("name", ["braid4", "signed3", "coord4", "triangle"])
 def test_identities_match_pairwise_oracle(name):
     arr, faces, lat = get_trio(name)
     tau = takeuchi_element(faces)
