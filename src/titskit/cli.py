@@ -35,7 +35,7 @@ from .elements import (
     verify_kung,
     zaslavsky_counts,
 )
-from .geometry import enumerate_faces, recession_cone, signs_to_str
+from .geometry import enumerate_faces, load_arrangement, recession_cone, signs_to_str
 from .intrinsic import (
     DEFAULT_SAMPLES,
     FLOAT_FLOOR,
@@ -155,7 +155,7 @@ def _load_arrangement(args, parser):
             if args.family is not None:
                 parser.error("--family and --file are mutually exclusive")
             try:
-                return build_family("file", path=args.file)
+                return load_arrangement(args.file)
             except ValueError as exc:
                 parser.error(f"{args.file}: {exc}")
         if args.family is None:
@@ -470,7 +470,7 @@ def _nu_checks(faces, nu):
         ("nu-at-1-vs-unit", 1.0, unit_element(faces)),
         ("nu-at-minus-1-vs-takeuchi", -1.0, takeuchi_element(faces)),
     ):
-        ev = nu.evaluate(value)
+        ev = nu.element.evaluate(value)
         keys = set(ev.coeffs) | set(target.coeffs)
         dev = max(
             (

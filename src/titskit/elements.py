@@ -21,7 +21,6 @@ from operator import mul
 from .geometry import (
     DuplicateHyperplane,
     _same_arrangement,
-    load_arrangement,
     make_arrangement,
 )
 from .lattice import charpoly_under, charpoly_over, deletion_lattice
@@ -136,12 +135,8 @@ def generic_arrangement(dim, m, seed, max_tries=500):
     )
 
 
-def build_family(family, n=None, m=None, seed=0, path=None):
+def build_family(family, n=None, m=None, seed=0):
     """Dispatch used by the command-line interface."""
-    if family == "file":
-        if path is None:
-            raise ValueError("loading from file needs a path")
-        return load_arrangement(path)
     if n is None:
         raise ValueError(f"family {family!r} needs --n")
     if family == "braid":

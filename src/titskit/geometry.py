@@ -112,9 +112,6 @@ class Arrangement:
     def m(self):
         return len(self.hyperplanes)
 
-    def value(self, i, point):
-        return self.hyperplanes[i].value(point)
-
     def sign_vector(self, point):
         return tuple([h.side(point) for h in self.hyperplanes])
 
@@ -428,37 +425,39 @@ def _line_cocircuits(lines):
 
 
 def _cone_rays(cone):
-    """The rays of a homogeneous cone modulo its lineality space, as
-    (pos, neg, vector) with masks over its rows, equalities first and then
-    inequalities: the cocircuits that are 0 on every equality and nowhere
-    -.  Their closure under conformal composition from the zero covector
-    (_covectors) is one covector per face, the sign vector of its relative
-    interior.  The cocircuit vectors depend only on the lines the rows
-    span, so all recession cones of one arrangement share one cocircuit
-    search.  Over those lines the cone is one sign vector, 0 on a line
-    that carries an equality or inequalities of both signs, and its rays
-    are the line cocircuits conformally below it, read from the lines'
-    row masks (_conformal) in the order of the search.  A zero row is 0 on
-    every point, so it is active on every face; it stays out of that
-    search, whose cuts need a row that is not orthogonal to the basis.
+    """(lines, rays) of a homogeneous cone, over its rows, equalities first
+    and then inequalities.  lines[j] is the line of row j (linalg._line),
+    None for a zero row; the rays modulo the lineality space are
+    (pos, neg, vector) with masks over the rows: the cocircuits that are 0
+    on every equality and nowhere -.  Their closure under conformal
+    composition from the zero covector (_covectors) is one covector per
+    face, the sign vector of its relative interior.  The cocircuit vectors
+    depend only on the lines, so all recession cones of one arrangement
+    share one cocircuit search.  Over the lines the cone is one sign
+    vector, 0 on a line that carries an equality or inequalities of both
+    signs, and its rays are the line cocircuits conformally below it, read
+    from the lines' row masks (_conformal) in the order of the search.  A
+    zero row is 0 on every point, so it is active on every face; it stays
+    out of that search, whose cuts need a row that is not orthogonal to
+    the basis.
     """
     rows = list(cone.equalities) + list(cone.inequalities)
     n_eq = len(cone.equalities)
+    lines = [_line(row) if any(row) else None for row in rows]
     signs = {}
-    for j, row in enumerate(rows):
-        if any(row):
-            line = _line(row)
+    for j, (row, line) in enumerate(zip(rows, lines)):
+        if line is not None:
             s = 0 if j < n_eq else 1 if _idot(row, line) > 0 else -1
             signs[line] = s if signs.get(line, s) == s else 0
     if not signs:
-        return []
-    lines = sorted(signs)
-    pos = sum(1 << k for k, line in enumerate(lines) if signs[line] > 0)
-    neg = sum(1 << k for k, line in enumerate(lines) if signs[line] < 0)
-    cocircuits, masks = _line_cocircuits(tuple(lines))
+        return lines, []
+    distinct = sorted(signs)
+    pos = sum(1 << k for k, line in enumerate(distinct) if signs[line] > 0)
+    neg = sum(1 << k for k, line in enumerate(distinct) if signs[line] < 0)
+    cocircuits, masks = _line_cocircuits(tuple(distinct))
     conformal, inside = _conformal(masks, (1 << len(cocircuits)) - 1, pos, neg)
     rays = [cocircuits[i][2] for i in _bits(conformal & inside)]
-    return [_sign_masks(rows, v) + (v,) for v in rays]
+    return lines, [_sign_masks(rows, v) + (v,) for v in rays]
 
 
 def enumerate_faces(arr):

@@ -21,13 +21,17 @@ Two evaluation paths:
   make runs reproducible bit for bit regardless of execution order.
 
 A cone's faces and rays come from the covectors of its own rows, not from
-an LP per subset of inequalities: the rays are the cocircuits that are 0 on
-the equalities and nowhere negative (geometry._cone_rays), and the faces
-are their closure under conformal composition.  Every projection onto a
-subspace cut out by some of the rows (a face span, or the lineality space)
-comes from one cache keyed by the lines of those rows (_complement), so all
-recession cones of one arrangement project once per flat; the cache holds
-each projection as an integer matrix over its denominator.
+an LP per subset of inequalities.  One reading of the rows
+(geometry._cone_rays) gives each row's line and the rays, the cocircuits
+that are 0 on the equalities and nowhere negative; it is the only place
+lines are derived.  The faces are the rays' closure under conformal
+composition, listed once per reading with their spans' projections
+(_face_list), for cone_faces and the Monte Carlo cells alike.  Every
+projection onto a subspace cut out by some of the rows (a face span, or
+the lineality space) comes from one cache keyed by the sorted lines of
+those rows (_complement), so all recession cones of one arrangement
+project once per flat; the cache holds each projection as an integer
+matrix over its denominator.
 
 Each face's recession cone is profiled once, by intrinsic_element, into
 the table IntrinsicElement.profiles (face signs -> ConicVolumeProfile).
@@ -48,7 +52,7 @@ from .geometry import (
     _same_arrangement,
     recession_cone,
 )
-from .linalg import _idot, _integer_row, _line, _primitive, matrix_rank, projection_matrix
+from .linalg import _idot, _integer_row, _primitive, matrix_rank, projection_matrix
 from .scalars import Poly
 from .tits import TitsElement, multiply
 
@@ -77,13 +81,13 @@ class ConeFace:
     dim: int
 
 
-def _complement(rows, n):
-    """(dim, den, den P) for the subspace of R^n orthogonal to every row:
+def _complement(lines, n):
+    """(dim, den, den P) for the subspace of R^n orthogonal to every line
+    (geometry._cone_rays' lines of rows; None, a zero row's, is skipped):
     dim its dimension and P its exact orthogonal projection matrix, held as
-    the integer matrix den P over P's denominator den.  Both depend only on
-    the lines the rows span, so they are cached by those lines."""
-    lines = tuple(sorted({_line(r) for r in rows if any(r)}))
-    return _line_complement(lines, n)
+    the integer matrix den P over P's denominator den, cached by the sorted
+    distinct lines."""
+    return _line_complement(tuple(sorted(set(lines) - {None})), n)
 
 
 @lru_cache(maxsize=1024)
@@ -97,29 +101,34 @@ def _line_complement(lines, n):
     return sum(ints[:: n + 1]) // den, den, m
 
 
-def cone_faces(cone):
-    """All faces of the cone, each with its exact active set and the
-    dimension of its span.
+def _face_list(cone):
+    """(rays, faces) from one reading of the cone's rows
+    (geometry._cone_rays): its rays, and each face as
+    (active, dim, den, m), sorted largest active set first.
 
     The faces are the covectors of the cone's own rows: the closure of its
-    rays (geometry._cone_rays) under conformal composition, from the zero
-    covector (geometry._covectors).  A face's active set is where its
-    covector is 0, and its span is orthogonal to the equalities and the
-    active rows.  Sorted largest active set first.
+    rays under conformal composition, from the zero covector
+    (geometry._covectors).  A face's active set is where its covector is 0
+    among the inequalities, and its span is orthogonal to the lines of the
+    rows where it is 0, the equalities and the active rows; dim is the
+    span's dimension and m = den P_F its projection (_complement).
     """
+    lines, rays = _cone_rays(cone)
     neq = len(cone.equalities)
-    rows = list(cone.equalities) + list(cone.inequalities)
-    out = []
-    for p, _ in _covectors(_cone_rays(cone), len(rows), [(0, 0)]):
-        active = [
-            i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
-        ]
-        dim, _, _ = _complement(
-            rows[:neq] + [cone.inequalities[i] for i in active], cone.dim
-        )
-        out.append(ConeFace(active=frozenset(active), dim=dim))
-    out.sort(key=lambda f: (-len(f.active), sorted(f.active)))
-    return out
+    faces = []
+    for p, _ in _covectors(rays, len(lines), [(0, 0)]):
+        zero = [j for j in range(len(lines)) if not p >> j & 1]
+        active = frozenset([j - neq for j in zero if j >= neq])
+        faces.append((active, *_complement([lines[j] for j in zero], cone.dim)))
+    faces.sort(key=lambda f: (-len(f[0]), sorted(f[0])))
+    return rays, faces
+
+
+def cone_faces(cone):
+    """All faces of the cone, each with its exact active set and the
+    dimension of its span, sorted largest active set first (_face_list).
+    """
+    return [ConeFace(active=a, dim=dim) for a, dim, _, _ in _face_list(cone)[1]]
 
 
 @dataclass(frozen=True)
@@ -173,8 +182,8 @@ def try_exact_profile(cone):
     v_(l+1) = sum (pi - d_i)/4pi and v_l = (2pi - sum t_i)/4pi.
     """
     n = cone.dim
-    ell, den, lin = _complement([*cone.equalities, *cone.inequalities], n)
-    rays = _cone_rays(cone)
+    lines, rays = _cone_rays(cone)
+    ell, den, lin = _complement(lines, n)
     us = [v for _, _, v in rays]
     # the rays projected off L, times den; lin = 0 and den = 1 when ell = 0
     if ell:
@@ -240,25 +249,21 @@ def _cells(cone):
     r . x <= 0 for each outer row v - P_F v (v a ray outside span F).  The
     cells partition space: the nearest point of x in the cone is P_F x for
     the one face F whose cell holds x.  The rows are integer products with
-    m = den P_F, read from the projection cache (_complement)."""
-    rays = [v for _, _, v in _cone_rays(cone)]
+    m = den P_F, from the face list (_face_list)."""
+    rays, faces = _face_list(cone)
     cells = []
-    for f in cone_faces(cone):
-        _, den, m = _complement(
-            list(cone.equalities) + [cone.inequalities[i] for i in f.active],
-            cone.dim,
-        )
+    for active, dim, den, m in faces:
         inner = {
             _primitive([_idot(row, a) for row in m])
             for i, a in enumerate(cone.inequalities)
-            if i not in f.active
+            if i not in active
         }
         outer = {
             _primitive([den * c - _idot(row, v) for c, row in zip(v, m)])
-            for v in rays
+            for _, _, v in rays
         }
         outer.discard((0,) * cone.dim)
-        cells.append((f.dim, sorted(inner), sorted(outer)))
+        cells.append((dim, sorted(inner), sorted(outer)))
     return cells
 
 
@@ -361,9 +366,6 @@ class IntrinsicElement:
 
     element: TitsElement
     profiles: dict
-
-    def evaluate(self, value):
-        return self.element.evaluate(value)
 
     def character_tolerance(self):
         """Conservative bound for character residuals, from MC half-widths."""
@@ -473,8 +475,9 @@ def verify_intrinsic_product(faces, nu, s, t):
     comparison isolates the algebra.  The tolerance scales the summed MC
     half-widths by a crude bound on the coefficient growth of the product.
     """
-    left = multiply(faces, nu.evaluate(float(s)), nu.evaluate(float(t)))
-    right = nu.evaluate(float(s) * float(t))
+    ev = nu.element.evaluate
+    left = multiply(faces, ev(float(s)), ev(float(t)))
+    right = ev(float(s) * float(t))
     keys = set(left.coeffs) | set(right.coeffs)
     dev = 0.0
     for k in keys:

@@ -96,14 +96,21 @@ class FlatLattice:
                        for f in self.flats]
         if any(up & ((1 << i) - 1) for i, up in enumerate(self._above)):
             raise ValueError("flats must be listed in order of rank")
-        # x covers y when y and x alone lie in [y, x]
+        # a flat above y and above no flat one rank above y covers y, and
+        # so jumps rank; the lowest such flat is y's first cover that does
         rank = [f.rank for f in self.flats]
+        level = {}
+        for i, r in enumerate(rank):
+            level[r] = level.get(r, 0) | 1 << i
         for y, up in enumerate(self._above):
-            for x in _bits(up ^ 1 << y):
-                if rank[x] != rank[y] + 1 and self._below[x] & up == 1 << x | 1 << y:
-                    raise UngradedLattice(
-                        f"cover {y} < {x} jumps rank {rank[y]} -> {rank[x]}"
-                    )
+            jumps = up ^ 1 << y
+            for z in _bits(up & level.get(rank[y] + 1, 0)):
+                jumps &= ~self._above[z]
+            if jumps:
+                x = next(_bits(jumps))
+                raise UngradedLattice(
+                    f"cover {y} < {x} jumps rank {rank[y]} -> {rank[x]}"
+                )
 
     # -- order ----------------------------------------------------------
 

@@ -12,10 +12,6 @@ from fractions import Fraction
 from math import factorial
 
 
-def _is_zero(c):
-    return c == 0
-
-
 class Poly:
     """Univariate polynomial; immutable tuple of coefficients, lowest first."""
 
@@ -23,7 +19,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -76,7 +72,7 @@ class Poly:
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -107,7 +103,7 @@ class Poly:
         """Exact quotient by the indeterminate; constant term must vanish."""
         if self.is_zero():
             return self
-        if not _is_zero(self.coeffs[0]):
+        if self.coeffs[0] != 0:
             raise ValueError("polynomial not divisible by t")
         return Poly(self.coeffs[1:])
 
@@ -176,7 +172,7 @@ def poly_str(p, var="t"):
     parts = []
     for k in range(p.degree, -1, -1):
         c = p.coefficient(k)
-        if _is_zero(c):
+        if c == 0:
             continue
         neg = c < 0
         mag = -c if neg else c

@@ -264,7 +264,7 @@ def _step_witness(arr, signs, witness, direction):
     for j, s in enumerate(signs):
         if s == 0:
             continue
-        margin = s * arr.value(j, witness)
+        margin = s * arr.hyperplanes[j].value(witness)
         rate = s * dot(arr.hyperplanes[j].normal, direction)
         if rate < 0:
             bound = margin / (-rate)
@@ -453,16 +453,19 @@ def enumerate_faces_closure(arr):
 
 
 def cone_rays_below(cone):
-    """The rays of a homogeneous cone modulo its lineality space, as
+    """(lines, rays) of a homogeneous cone: the line of each row (None for
+    a zero row), and the rays modulo its lineality space, as
     (pos, neg, vector) over its rows: the cocircuits of the lines of its
     rows that lie conformally below the cone's sign vector over the lines,
     found by a scan."""
     rows = list(cone.equalities) + list(cone.inequalities)
     n_eq = len(cone.equalities)
+    row_lines = []
     signs = {}
     for j, row in enumerate(rows):
-        if any(row):
-            line = line_gcd(row)
+        line = line_gcd(row) if any(row) else None
+        row_lines.append(line)
+        if line is not None:
             s = 0 if j < n_eq else 1 if _idot(row, line) > 0 else -1
             signs[line] = s if signs.get(line, s) == s else 0
     lines = sorted(signs)
@@ -470,7 +473,7 @@ def cone_rays_below(cone):
     neg = sum(1 << k for k, line in enumerate(lines) if signs[line] < 0)
     cocircuits = [c[:3] for c in _cocircuits(lines)] if lines else []
     below = below_scan(cocircuits, pos, neg)
-    return [_sign_masks(rows, v) + (v,) for _, _, v in below]
+    return row_lines, [_sign_masks(rows, v) + (v,) for _, _, v in below]
 
 
 def cone_faces_closure(cone):
@@ -479,7 +482,7 @@ def cone_faces_closure(cone):
     neq = len(cone.equalities)
     rows = list(cone.equalities) + list(cone.inequalities)
     out = []
-    for p, _ in covectors_all(cone_rays_below(cone), len(rows)):
+    for p, _ in covectors_all(cone_rays_below(cone)[1], len(rows)):
         active = [
             i for i in range(len(cone.inequalities)) if not p >> (neq + i) & 1
         ]
@@ -962,7 +965,7 @@ def try_exact_profile_fraction(cone):
     n = cone.dim
     lin = complement_gram(cone.equalities + cone.inequalities, n)
     ell = len(nullspace_rref(list(cone.equalities + cone.inequalities), n))
-    rays = _cone_rays(cone)
+    _, rays = _cone_rays(cone)
     us = [v for _, _, v in rays]
     if ell:
         us = [tuple(a - b for a, b in zip(u, matvec(lin, u))) for u in us]
@@ -1058,7 +1061,7 @@ def project_to_cone(cone, point, faces=None):
     if (
         dot(residual, q)
         or any(matvec(lineality, residual))
-        or any(dot(residual, v) > 0 for _, _, v in _cone_rays(cone))
+        or any(dot(residual, v) > 0 for _, _, v in _cone_rays(cone)[1])
     ):
         raise ProjectionMismatch("residual is not in the normal cone")
     return q, face.dim

@@ -230,7 +230,7 @@ def test_criterion_10_intrinsic_element_limits():
             (1.0, unit_element(faces)),
             (-1.0, takeuchi_element(faces)),
         ):
-            ev = nu.evaluate(value)
+            ev = nu.element.evaluate(value)
             keys = set(ev.coeffs) | set(target.coeffs)
             for k in keys:
                 slack = 1e-9 + sum(nu.profiles[k].half_width)

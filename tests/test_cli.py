@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -252,6 +253,37 @@ def test_reports_do_not_depend_on_asserts(tmp_path):
             reports.append(rep)
         assert reports[0] == reports[1]
         assert reports[0]["ok"] is True
+
+
+def test_verify_imports_neither_numpy_nor_hashlib():
+    # a run that samples nothing never imports numpy (intrinsic._mc_profile
+    # imports it), and the fingerprint takes the interpreter's own SHA-256,
+    # not hashlib's OpenSSL binding: both are set-up time and memory
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import titskit",
+        "from titskit import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify', 'all', '--family', 'braid', '--n', '4',"
+        " '--json'])",
+        "print(code, sorted({'numpy', 'hashlib'} & set(sys.modules)))",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    # CPython 3.12 renamed _sha256 to _sha2, and the fingerprint then falls
+    # back to hashlib
+    expected = [] if importlib.util.find_spec("_sha256") else ["hashlib"]
+    assert out.split(" ", 1) == ["0", f"{expected}\n"]
 
 
 def test_library_builds_no_tuple_from_a_generator():

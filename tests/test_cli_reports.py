@@ -2,10 +2,10 @@
 must reproduce its stored report in `data/cli_reports.json` apart from the
 wall-clock `timings`.
 
-Every command here is exact or samples nothing (`verify all` on braid4
-profiles every cone in closed form), so no report depends on numpy's
-random stream.  After an intended change of output, re-pin by running
-this file as a script from the repository root,
+Every command here is exact or samples nothing (`verify all` and
+`intrinsic` profile every cone of these arrangements in closed form), so
+no report depends on numpy's random stream.  After an intended change of
+output, re-pin by running this file as a script from the repository root,
 `PYTHONPATH=src python tests/test_cli_reports.py`, and record why.
 """
 
@@ -45,6 +45,12 @@ CASES = [f"{name} {command}" for name in SOURCES for command in COMMANDS] + [
     "signed3 element adams",
     "coord4 element coordinate",
     "braid4 verify all",
+    "generic(3,4,11) verify all",
+    "signed3 verify all",
+    "triangle verify all",
+    "braid4 intrinsic",
+    "signed3 intrinsic",
+    "generic(3,4,11) intrinsic",
 ]
 
 
@@ -66,6 +72,11 @@ def pinned():
 
 def test_every_case_is_pinned(pinned):
     assert sorted(pinned) == sorted(CASES)
+
+
+def test_no_pinned_case_samples(pinned):
+    # a sampled report would pin numpy's random stream
+    assert all(pinned[case]["seeds"] == {} for case in CASES)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -16,6 +16,7 @@ from titskit.linalg import common_denominator, projection_matrix
 from oracles import (
     cone_faces_lp,
     implicit_equalities_lp,
+    line_gcd,
     project_to_cone,
     project_to_cone_lp,
     projection_matrix_gram,
@@ -144,4 +145,5 @@ def test_complement_matches_gram_oracle(kind, data):
                 for i, row in enumerate(p)
             )
             dim = n - len(rref(rows)[1])
-            assert _complement(rows, n) == (dim, den, m)
+            lines = [line_gcd(r) if any(r) else None for r in rows]
+            assert _complement(lines, n) == (dim, den, m)

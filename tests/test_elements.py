@@ -25,6 +25,7 @@ from titskit.geometry import (
     ArrangementMismatch,
     DuplicateHyperplane,
     enumerate_faces,
+    load_arrangement,
 )
 from titskit.intrinsic import (
     intrinsic_element,
@@ -135,7 +136,7 @@ def test_build_family_dispatch_and_errors(tmp_path):
             }
         )
     )
-    arr = build_family("file", path=str(path))
+    arr = load_arrangement(str(path))
     assert arr.m == 2
     assert arr.hyperplanes[1].offset == Fraction(1, 2)
     bad = tmp_path / "dup.json"
@@ -151,7 +152,7 @@ def test_build_family_dispatch_and_errors(tmp_path):
         )
     )
     with pytest.raises(DuplicateHyperplane):
-        build_family("file", path=str(bad))
+        load_arrangement(str(bad))
 
 
 def test_adams_braid2_coefficients():

@@ -211,11 +211,12 @@ def test_polygon_with_a_missing_ray_is_rejected(monkeypatch):
         inequalities=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
     )
     assert try_exact_profile(square).method == "exact"
-    monkeypatch.setattr(
-        intrinsic,
-        "_cone_rays",
-        lambda cone: _cone_rays(cone)[1:],
-    )
+
+    def without_first_ray(cone):
+        lines, rays = _cone_rays(cone)
+        return lines, rays[1:]
+
+    monkeypatch.setattr(intrinsic, "_cone_rays", without_first_ray)
     with pytest.raises(PolygonMismatch, match="1 neighbouring rays"):
         try_exact_profile(square)
 
@@ -232,7 +233,7 @@ def _polar(cone):
             if any(v)
         ),
         inequalities=tuple(
-            tuple(-c for c in v) for _, _, v in _cone_rays(cone)
+            tuple(-c for c in v) for _, _, v in _cone_rays(cone)[1]
         ),
     )
 
@@ -376,9 +377,14 @@ def test_mc_kernel_matches_exact_classifier(cone, path):
 def test_mc_partition_is_checked(monkeypatch):
     # without the apex, the samples of its Moreau cell (the negative
     # quadrant) lie in no cell; the check is no assert, so python -O keeps it
-    monkeypatch.setattr(
-        intrinsic, "cone_faces", lambda cone: cone_faces(cone)[1:]
-    )
+    face_list = intrinsic._face_list
+
+    def without_apex(cone):
+        rays, faces = face_list(cone)
+        assert faces[0][0] == {0, 1}  # the apex: both inequalities active
+        return rays, faces[1:]
+
+    monkeypatch.setattr(intrinsic, "_face_list", without_apex)
     with pytest.raises(ProjectionMismatch, match="no Moreau cell"):
         intrinsic._mc_profile(QUADRANT, 1000, 0)
 
@@ -407,6 +413,31 @@ def test_projections_computed_once_per_flat(monkeypatch):
     intrinsic_element(arr, faces, samples=10)
     assert len(lat) == 52
     assert 0 < len(calls) <= len(lat)
+
+
+def test_each_routine_reads_its_cone_once(monkeypatch):
+    # one reading of the rows (_cone_rays) feeds the faces, their
+    # projections and the Moreau cells; a cone of essential dimension 4 is
+    # read by try_exact_profile, then once more to sample it
+    arr, faces, _ = get_trio("braid5")
+    chamber_cone = recession_cone(
+        arr, faces.face(arr.sign_vector((0, 1, 2, 3, 4)))
+    )
+    reads = []
+
+    def counting(cone):
+        reads.append(cone)
+        return _cone_rays(cone)
+
+    monkeypatch.setattr(intrinsic, "_cone_rays", counting)
+    intrinsic._mc_profile(chamber_cone, 100, 0)
+    assert len(reads) == 1
+    reads.clear()
+    prof = conic_intrinsic_volumes(chamber_cone, samples=100, seed=0)
+    assert prof.method == "monte-carlo"
+    assert reads == [chamber_cone, chamber_cone]
+    # lines are read only there
+    assert not hasattr(intrinsic, "_line")
 
 
 def test_try_exact_profile_reports_unavailable():
@@ -440,8 +471,8 @@ def test_intrinsic_element_interpolates_unit_and_takeuchi():
         nu = intrinsic_element(arr, faces)
         u = unit_element(faces)
         tau = takeuchi_element(faces)
-        nu1 = nu.evaluate(1.0)
-        num1 = nu.evaluate(-1.0)
+        nu1 = nu.element.evaluate(1.0)
+        num1 = nu.element.evaluate(-1.0)
         for target, got in ((u, nu1), (tau, num1)):
             keys = set(target.coeffs) | set(got.coeffs)
             for k in keys:

@@ -50,9 +50,9 @@ def test_product_matches_segment_walk():
     for name in ["braid3", "triangle"]:
         arr, faces, _ = get_trio(name)
         for f in faces:
-            vf = [arr.value(i, f.witness) for i in range(arr.m)]
+            vf = [h.value(f.witness) for h in arr.hyperplanes]
             for g in faces:
-                vg = [arr.value(i, g.witness) for i in range(arr.m)]
+                vg = [h.value(g.witness) for h in arr.hyperplanes]
                 # small enough that no nonzero value of F changes sign
                 step = Fraction(1, 2)
                 for a, b in zip(vf, vg):
