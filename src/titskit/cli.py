@@ -47,6 +47,7 @@ from .intrinsic import (
 from .lattice import build_lattice
 from .scalars import T, Poly, format_scalar, poly_str
 from .tits import (
+    _deviation,
     basis_element,
     element_to_json,
     flat_multiply,
@@ -378,7 +379,7 @@ def _deletion_checks(arr, faces, lattice, which=None):
         checks.append(
             _check(
                 f"deletion-h{h}",
-                not rep.rank_ok or (rep.identity_ok and rep.transport_ok),
+                rep.ok or not rep.rank_ok,
                 chi=rep.chi_full,
                 chi_deleted=rep.chi_deleted,
                 chi_restriction=rep.chi_restriction,
@@ -470,18 +471,8 @@ def _nu_checks(faces, nu):
         ("nu-at-1-vs-unit", 1.0, unit_element(faces)),
         ("nu-at-minus-1-vs-takeuchi", -1.0, takeuchi_element(faces)),
     ):
-        ev = nu.element.evaluate(value)
-        keys = set(ev.coeffs) | set(target.coeffs)
-        dev = max(
-            (
-                abs(ev.coeffs.get(k, 0.0) - float(target.coeffs.get(k, 0)))
-                for k in keys
-            ),
-            default=0.0,
-        )
-        out.append(
-            _check(name, dev <= tol, max_deviation=dev, tolerance=tol)
-        )
+        dev = _deviation(nu.element.evaluate(value), target)
+        out.append(_check(name, dev <= tol, max_deviation=dev, tolerance=tol))
     return out
 
 

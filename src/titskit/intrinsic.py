@@ -54,7 +54,7 @@ from .geometry import (
 )
 from .linalg import _idot, _integer_row, _primitive, matrix_rank, projection_matrix
 from .scalars import Poly
-from .tits import TitsElement, multiply
+from .tits import TitsElement, _deviation, multiply
 
 DEFAULT_SAMPLES = 10**6
 DEFAULT_SEED = 0
@@ -477,11 +477,7 @@ def verify_intrinsic_product(faces, nu, s, t):
     """
     ev = nu.element.evaluate
     left = multiply(faces, ev(float(s)), ev(float(t)))
-    right = ev(float(s) * float(t))
-    keys = set(left.coeffs) | set(right.coeffs)
-    dev = 0.0
-    for k in keys:
-        dev = max(dev, abs(left.coeffs.get(k, 0.0) - right.coeffs.get(k, 0.0)))
+    dev = _deviation(left, ev(float(s) * float(t)))
     growth = (max(1.0, abs(float(s))) * max(1.0, abs(float(t)))) ** max(
         (f.dim for f in faces), default=1
     )

@@ -145,9 +145,12 @@ class FlatLattice:
         """Index of the flat a face spans, the flat of its zero mask.  With
         the face set, the mask is read off the face's packed key, and a
         sign vector that is not a face raises NotAFace; without it, off the
-        signs, and only a zero set that is no flat raises."""
+        signs, and only a zero set that is no flat, or a sign vector whose
+        length is not m, raises."""
         try:
             if self.faces is None:
+                if len(signs) != self.arr.m:
+                    raise KeyError(signs)
                 zeros = self._mask([j for j, s in enumerate(signs) if not s])
             else:
                 key, m = self.faces.packed()[signs], self.arr.m
@@ -275,6 +278,8 @@ class SubarrangementMap:
     target: object
 
     def __call__(self, signs):
+        if len(signs) != self.source.m:
+            raise NotAFace(f"{signs_to_str(signs)} is not a face")
         return tuple([signs[i] for i in self.indices])
 
 

@@ -21,8 +21,10 @@ sum_F |pi_Z(v)|, not |w| |v|; float products can differ from the
 pairwise sum in the last bits, since the order of addition changes.
 
 The product, the pushforward and the support sums add rational
-coefficients as integer numerators over one common denominator and divide
-each result back to one Fraction; Poly and float ones take the same loops.
+coefficients as integer numerators, each operand over the lcm of its own
+denominators, and divide each result back to one Fraction (a product over
+the product of the two lcms); Poly and float ones take the same loops.
+Only a product with a Poly or float operand reads the operands' kinds.
 
 The flat algebra, H_X H_Y = H_{X join Y}, is the support image of the Tits
 algebra and is star-factored alike: H_x pushes v to sum_y c_y H_{x join y},
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import and_
+from operator import and_, neg
 from types import MappingProxyType
 
 from .geometry import NotAFace, _same_arrangement, signs_to_str
@@ -102,25 +104,17 @@ class TitsElement:
         return TitsElement(self.arr, out)
 
     def __neg__(self):
-        return TitsElement(self.arr, {s: -c for s, c in self.coeffs.items()})
+        return self.map_coeffs(neg)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor):
-        return TitsElement(
-            self.arr, {s: factor * c for s, c in self.coeffs.items()}
-        )
+        return self.map_coeffs(lambda c: factor * c)
 
     def evaluate(self, value):
         """Substitute a number for the indeterminate in poly coefficients."""
-        return TitsElement(
-            self.arr,
-            {
-                s: (c(value) if isinstance(c, Poly) else c)
-                for s, c in self.coeffs.items()
-            },
-        )
+        return self.map_coeffs(lambda c: c(value) if isinstance(c, Poly) else c)
 
     def map_coeffs(self, fn):
         return TitsElement(self.arr, {s: fn(c) for s, c in self.coeffs.items()})
@@ -150,16 +144,15 @@ def tits_product(faces, f_signs, g_signs):
     return out
 
 
-def _numerators(*coeffs):
-    """Rational coefficient dicts as integer numerators over one common
-    denominator: (den, dicts).  With a Poly or float coefficient anywhere
-    the dicts come back as they are, and den is None."""
-    values = [c for cs in coeffs for c in cs.values()]
-    if not all(isinstance(c, (int, Fraction)) for c in values):
+def _numerators(coeffs):
+    """Rational coefficients as integer numerators over their lcm den:
+    (den, numerators).  With a Poly or float coefficient the dict comes
+    back as it is, and den is None."""
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs.values()):
         return None, coeffs
-    den = lcm(*[c.denominator for c in values])
-    return den, [{k: c.numerator * (den // c.denominator)
-                  for k, c in cs.items()} for cs in coeffs]
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in coeffs.items()}
 
 
 def _divided(sums, den):
@@ -175,12 +168,14 @@ def multiply(faces, w, v):
     of w or v that is not in the face set raises NotAFace, and a product
     that is not, NotClosed."""
     _same_arrangement(faces.arr, w, v)
-    kw, kv = w.kind, v.kind
-    if w.coeffs and v.coeffs and kw != kv:
-        raise ScalarMismatch(f"cannot multiply {kw} element by {kv} element")
+    dw, wc = _numerators(w.coeffs)
+    dv, vc = _numerators(v.coeffs)
+    if dw is None or dv is None:  # two rational elements cannot mismatch
+        kw, kv = w.kind, v.kind  # raises TypeError on an unsupported scalar
+        if w.coeffs and v.coeffs and kw != kv:
+            raise ScalarMismatch(f"cannot multiply {kw} element by {kv} element")
     m = faces.arr.m
     full = (1 << m) - 1
-    den, (wc, vc) = _numerators(w.coeffs, v.coeffs)
     packed = faces.packed()
     try:  # one lookup per key: a sign vector missing from it is no face
         wk = [(packed[signs], c) for signs, c in wc.items()]
@@ -212,8 +207,8 @@ def multiply(faces, w, v):
             signs = tuple([(k >> j & 1) - (k >> (m + j) & 1) for j in range(m)])
             raise NotClosed(f"{signs_to_str(signs)} is missing from the face set")
         coeffs[packed[k]] = c
-    # a product of two numerators sits over den squared
-    return TitsElement(faces.arr, _divided(coeffs, den and den * den))
+    # a product of two numerators sits over the product of their dens
+    return TitsElement(faces.arr, _divided(coeffs, dw and dv and dw * dv))
 
 
 def _support_sums(lattice, w):
@@ -221,7 +216,7 @@ def _support_sums(lattice, w):
     (sums, den), rational sums as integer numerators over den (`_divided`
     gives the Fractions); Poly and float sums as they are, with den None."""
     _same_arrangement(lattice.arr, w)
-    den, (coeffs,) = _numerators(w.coeffs)
+    den, coeffs = _numerators(w.coeffs)
     sums = {}
     for signs, c in coeffs.items():
         x = lattice.support(signs)
@@ -247,6 +242,11 @@ def support_sum(lattice, w, x):
 
 def chamber_sum(lattice, w):
     return support_sum(lattice, w, lattice.top)
+
+
+def _deviation(a, b):
+    """Largest absolute coefficient of a - b, as a float."""
+    return float(max(map(abs, (a - b).coeffs.values()), default=0.0))
 
 
 def _magnitude(residual):
@@ -371,7 +371,7 @@ def flat_multiply(lattice, u, v):
 def pushforward(fmap, w):
     """Image of an element under a subarrangement restriction map."""
     _same_arrangement(fmap.source, w)
-    den, (coeffs,) = _numerators(w.coeffs)
+    den, coeffs = _numerators(w.coeffs)
     out = {}
     for signs, c in coeffs.items():
         key = fmap(signs)

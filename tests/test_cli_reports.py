@@ -51,6 +51,10 @@ CASES = [f"{name} {command}" for name in SOURCES for command in COMMANDS] + [
     "braid4 intrinsic",
     "signed3 intrinsic",
     "generic(3,4,11) intrinsic",
+    "braid4 verify product --s 1/2 --t -3",
+    "signed3 verify product --s 1/2 --t -3",
+    "generic(3,4,11) verify product --s 1/2 --t -3",
+    "triangle verify product --s 1/2 --t -3",
 ]
 
 

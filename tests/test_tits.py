@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from titskit.elements import braid_arrangement
@@ -12,6 +13,7 @@ from titskit.tits import (
     NotClosed,
     ScalarMismatch,
     TitsElement,
+    _deviation,
     basis_element,
     chamber_sum,
     character,
@@ -170,6 +172,51 @@ def test_multiply_mixed_kinds_rejected():
     p = h.map_coeffs(lambda c: c * T)
     with pytest.raises(ScalarMismatch):
         multiply(faces, h, p)
+    f = h.map_coeffs(float)
+    for left, right in ((h, f), (f, h)):
+        with pytest.raises(ScalarMismatch, match="rational element"):
+            multiply(faces, left, right)
+    # an empty element has no kind to mismatch
+    empty = TitsElement(arr, {(0, 0, 0): 0.0})
+    for left, right in ((h, empty), (empty, h)):
+        assert multiply(faces, left, right) == TitsElement(arr, {})
+
+
+def test_rational_products_read_no_kind(monkeypatch):
+    # two rational operands cannot mismatch, so neither kind is read
+    _, faces, _ = get_trio("braid3")
+    reads = []
+    kind = TitsElement.kind.fget
+    monkeypatch.setattr(TitsElement, "kind",
+                        property(lambda w: reads.append(w) or kind(w)))
+    tau = takeuchi_element(faces)
+    assert multiply(faces, tau, tau) == unit_element(faces)
+    assert reads == []
+    float_tau = tau.map_coeffs(float)
+    multiply(faces, float_tau, float_tau)
+    assert len(reads) == 2
+
+
+def test_unsupported_scalars_raise_with_an_empty_operand():
+    arr, faces, _ = get_trio("braid3")
+    empty = TitsElement(arr, {})
+    for bad in ("1", numpy.int64(1)):
+        w = TitsElement(arr, {(0, 0, 0): bad})
+        for left, right in ((w, empty), (empty, w)):
+            with pytest.raises(TypeError, match="unsupported scalar"):
+                multiply(faces, left, right)
+
+
+def test_deviation_is_the_largest_float_difference():
+    arr, _, _ = get_trio("braid3")
+    a = TitsElement(arr, {(0, 0, 0): 0.1, (1, 1, 1): 0.2})
+    b = TitsElement(arr, {(0, 0, 0): Fraction(1, 3),
+                          (-1, -1, -1): Fraction(7, 3)})
+    # a key only in the exact target still reads as a float
+    dev = _deviation(a, b)
+    assert type(dev) is float and dev == float(Fraction(7, 3))
+    assert _deviation(a, a.scale(2.0)) == 0.2
+    assert type(_deviation(a, a)) is float and _deviation(a, a) == 0.0
 
 
 def _random_element(arr, faces, rng, kmax=3):
@@ -221,13 +268,32 @@ def test_characters_reject_sign_vectors_that_are_not_faces():
     with pytest.raises(NotAFace, match=r"\+-\+ is not a face"):
         lat.support((1, -1, 1))
     # the same flats with no face map, and a deletion's lattice, map any
-    # sign vector by its zero set
+    # sign vector of length m by its zero set
     bare = FlatLattice(arr, lat.flats)
     assert character(bare, bad, bare.top) == 1
     assert support_sum(bare, bad, bare.top) == 1
     fmap, dlat = deletion_lattice(arr, lat, 0)
     image = basis_element(fmap.target, (1, -1))
     assert character(dlat, image, dlat.top) == 1
+
+
+def test_sign_vectors_of_the_wrong_length_are_not_faces():
+    arr, faces, lat = get_trio("braid3")
+    fmap, dlat = deletion_lattice(arr, lat, 0)
+    bare = FlatLattice(arr, lat.flats)
+    for lattice in (lat, bare, dlat):
+        m = lattice.arr.m
+        for signs in ((), (0,) * (m - 1), (1,) * (m - 1), (1,) * (m + 1)):
+            with pytest.raises(NotAFace, match="is not a face"):
+                lattice.support(signs)
+        w = basis_element(lattice.arr, (1,) * (m - 1))
+        with pytest.raises(NotAFace):
+            character(lattice, w, lattice.top)
+        with pytest.raises(NotAFace):
+            is_characteristic(lattice, w, Fraction(1))
+    for signs in ((1, 1), (1, 1, 1, 1), (0, 0, 0, 0)):
+        with pytest.raises(NotAFace, match="is not a face"):
+            pushforward(fmap, basis_element(arr, signs))
 
 
 def test_unit_element_is_two_sided_identity():
