@@ -5,9 +5,11 @@ Each command handler returns its results payload, its checks, its human
 lines and the cone profiles it computed.  A check is one record built by
 `_check`: its `name`, whether it is `ok`, and the values it compared (both
 sides of an identity, a deviation and its tolerance), with an optional
-`note`.  `main` alone renders checks: sorted by name into the JSON report,
-and as `PASS name (note)` or `FAIL name` lines after the human output, so
-runs diff cleanly.
+`note`.  `verify` builds all of its checks in one function,
+`_cmd_verify`, each where its report is read.  `main` alone renders
+checks: sorted by name into the JSON report, and as `PASS name (note)` or
+`FAIL name` lines after the human output, so runs diff cleanly.  The JSON
+encoder writes every Fraction and Poly as text, as `format_scalar` does.
 
 Reports always carry the command echo, the arrangement fingerprint, the
 results, the checks, wall-clock timings, and `seeds`: the sample count and
@@ -83,7 +85,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument(
+    arrangement = source.add_mutually_exclusive_group(required=True)
+    arrangement.add_argument(
         "--family",
         choices=["braid", "signed-braid", "coordinate", "generic"],
         help="built-in arrangement family",
@@ -99,7 +102,7 @@ def build_parser():
         help="non-negative seed for the generic family and for Monte Carlo "
         "sampling",
     )
-    source.add_argument("--file", help="arrangement JSON file")
+    arrangement.add_argument("--file", help="arrangement JSON file")
     source.add_argument(
         "--json", action="store_true", help="emit a JSON report"
     )
@@ -151,20 +154,19 @@ def build_parser():
 
 
 def _load_arrangement(args, parser):
+    if args.m is not None and args.family != "generic":
+        parser.error("--m only applies to --family generic")
+    if args.n is not None and args.file is not None:
+        parser.error("--n only applies to --family")
     try:
         if args.file is not None:
-            if args.family is not None:
-                parser.error("--family and --file are mutually exclusive")
-            try:
-                return load_arrangement(args.file)
-            except ValueError as exc:
-                parser.error(f"{args.file}: {exc}")
-        if args.family is None:
-            parser.error("one of --family or --file is required")
-        return build_family(
-            args.family, n=args.n, m=args.m, seed=args.seed
-        )
-    except (ValueError, OSError, GenericDegenerate) as exc:
+            return load_arrangement(args.file)
+        return build_family(args.family, n=args.n, m=args.m, seed=args.seed)
+    except ValueError as exc:
+        # a malformed file is named
+        where = "" if args.file is None else f"{args.file}: "
+        parser.error(f"{where}{exc}")
+    except (OSError, GenericDegenerate) as exc:
         parser.error(str(exc))
 
 
@@ -178,8 +180,8 @@ def _profile_json(signs, prof, dim):
     out = {
         "sign_vector": signs_to_str(signs),
         "method": prof.method,
-        "values": [float(v) for v in prof.values],
-        "half_width": [float(h) for h in prof.half_width],
+        "values": prof.values,
+        "half_width": prof.half_width,
         "dim": dim,
     }
     if prof.samples is not None:
@@ -188,22 +190,20 @@ def _profile_json(signs, prof, dim):
     return out
 
 
-def _field(value):
-    """A check field as JSON: Fraction and Poly as text, tuples as lists,
-    lists and dicts entry by entry; the rest as it is."""
+def _json_scalar(value):
+    """The JSON encoder's hook: a Fraction or Poly as format_scalar writes
+    it; any other value the encoder cannot write is still a TypeError."""
     if isinstance(value, (Fraction, Poly)):
         return format_scalar(value)
-    if isinstance(value, dict):
-        return {k: _field(v) for k, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_field(v) for v in value]
-    return value
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def _check(name, ok, **fields):
     """The one check record: its name, whether it passed, and the values
-    it compared, each through _field."""
-    return {"name": name, "ok": ok, **_field(fields)}
+    it compared."""
+    return {"name": name, "ok": ok, **fields}
 
 
 def _cmd_faces(arr, faces, lattice, args):
@@ -344,51 +344,6 @@ _CHARACTERISTIC = (
 )
 
 
-def _characteristic_checks(arr, faces, lattice):
-    checks = []
-    for name, family, build, param in _CHARACTERISTIC:
-        if family not in (None, arr.kind):
-            continue
-        rep = is_characteristic(lattice, build(faces), param)
-        fields = {"parameter": rep.parameter}
-        if not rep.ok:
-            fields["violations"] = [
-                {"flat": x, "character": chi, "expected": exp}
-                for x, chi, exp, _ in rep.violations()
-            ]
-        checks.append(_check(name, rep.ok, **fields))
-    return checks
-
-
-def _kung_check(lattice, s, t):
-    rep = verify_kung(lattice, s, t)
-    return _check(
-        f"kung-s{s}-t{t}",
-        rep.ok,
-        lhs=rep.lhs,
-        flat_sum=rep.flat_sum,
-        pair_sum=rep.pair_sum,
-    )
-
-
-def _deletion_checks(arr, faces, lattice, which=None):
-    checks = []
-    for h in range(arr.m) if which is None else [which]:
-        rep = verify_deletion_restriction(arr, faces, lattice, h)
-        note = {} if rep.rank_ok else {"note": "skipped: deletion drops rank"}
-        checks.append(
-            _check(
-                f"deletion-h{h}",
-                rep.ok or not rep.rank_ok,
-                chi=rep.chi_full,
-                chi_deleted=rep.chi_deleted,
-                chi_restriction=rep.chi_restriction,
-                **note,
-            )
-        )
-    return checks
-
-
 def _unit_identity_check(faces):
     u = unit_element(faces)
     ok = all(
@@ -418,33 +373,6 @@ def _q_basis_check(lattice):
     return _check("q-basis", ok, flats=len(lattice))
 
 
-def _product_checks(arr, faces, nu, s, t):
-    checks = []
-    if arr.kind == "braid":
-        a = adams_a(faces)
-        lhs = multiply(faces, a.evaluate(s), a.evaluate(t))
-        checks.append(
-            _check(
-                "adams-multiplicativity",
-                lhs == a.evaluate(s * t),
-                s=s,
-                t=t,
-            )
-        )
-    rep = verify_intrinsic_product(faces, nu, s, t)
-    checks.append(
-        _check(
-            "intrinsic-product",
-            rep.ok,
-            s=rep.s,
-            t=rep.t,
-            max_deviation=rep.max_deviation,
-            tolerance=rep.tolerance,
-        )
-    )
-    return checks
-
-
 def _profile_consistency_check(faces, profiles):
     """Total measure 1 and vanishing Euler alternation (sign alternating
     sum is +-1 exactly when the cone is a subspace)."""
@@ -464,18 +392,6 @@ def _profile_consistency_check(faces, profiles):
     return _check("profile-consistency", ok, max_deviation=worst)
 
 
-def _nu_checks(faces, nu):
-    tol = nu.character_tolerance()
-    out = []
-    for name, value, target in (
-        ("nu-at-1-vs-unit", 1.0, unit_element(faces)),
-        ("nu-at-minus-1-vs-takeuchi", -1.0, takeuchi_element(faces)),
-    ):
-        dev = _deviation(nu.element.evaluate(value), target)
-        out.append(_check(name, dev <= tol, max_deviation=dev, tolerance=tol))
-    return out
-
-
 def _klivans_swartz_check(faces, lattice, profiles):
     rep = klivans_swartz_from_profiles(faces, lattice, profiles)
     return _check(
@@ -492,38 +408,99 @@ _KUNG_PAIRS = ((Fraction(-1), Fraction(3)), (Fraction(1, 2), Fraction(-2)))
 
 
 def _cmd_verify(arr, faces, lattice, args):
-    """Each group's checks; `all` is every group plus the checks that
-    belong to none."""
-    s, t = args.s, args.t
+    """Every check of `verify`, each built where its report is read: each
+    group's, and under `all` every group plus the checks that belong to
+    none.  `main` sorts them by name."""
+    what, s, t = args.what, args.s, args.t
     checks, profiles = [], {}
-    if args.what in ("characteristic", "all"):
-        checks += _characteristic_checks(arr, faces, lattice)
-    if args.what in ("kung", "all"):
-        checks.append(_kung_check(lattice, s, t))
-    if args.what in ("deletion", "all"):
-        checks += _deletion_checks(arr, faces, lattice, args.hyperplane)
-    if args.what in ("product", "all"):
+    if what in ("characteristic", "all"):
+        for name, family, build, param in _CHARACTERISTIC:
+            if family not in (None, arr.kind):
+                continue
+            rep = is_characteristic(lattice, build(faces), param)
+            fields = {"parameter": rep.parameter}
+            if not rep.ok:
+                fields["violations"] = [
+                    {"flat": x, "character": chi, "expected": exp}
+                    for x, chi, exp, _ in rep.violations()
+                ]
+            checks.append(_check(name, rep.ok, **fields))
+    if what in ("kung", "all"):
+        for ks, kt in [(s, t), *(_KUNG_PAIRS if what == "all" else ())]:
+            rep = verify_kung(lattice, ks, kt)
+            checks.append(
+                _check(
+                    f"kung-s{ks}-t{kt}",
+                    rep.ok,
+                    lhs=rep.lhs,
+                    flat_sum=rep.flat_sum,
+                    pair_sum=rep.pair_sum,
+                )
+            )
+    if what in ("deletion", "all"):
+        which = args.hyperplane
+        for h in range(arr.m) if which is None else [which]:
+            rep = verify_deletion_restriction(arr, faces, lattice, h)
+            note = {} if rep.rank_ok else {"note": "skipped: deletion drops rank"}
+            checks.append(
+                _check(
+                    f"deletion-h{h}",
+                    rep.ok or not rep.rank_ok,
+                    chi=rep.chi_full,
+                    chi_deleted=rep.chi_deleted,
+                    chi_restriction=rep.chi_restriction,
+                    **note,
+                )
+            )
+    if what in ("product", "all"):
         nu = intrinsic_element(
             arr, faces, samples=args.samples, seed=args.seed
         )
-        checks += _product_checks(arr, faces, nu, s, t)
         profiles = nu.profiles
-    if args.what == "all":
-        rep = zaslavsky_counts(faces, lattice)
-        checks += [
-            _unit_identity_check(faces),
+        if arr.kind == "braid":
+            a = adams_a(faces)
+            lhs = multiply(faces, a.evaluate(s), a.evaluate(t))
+            checks.append(
+                _check(
+                    "adams-multiplicativity",
+                    lhs == a.evaluate(s * t),
+                    s=s,
+                    t=t,
+                )
+            )
+        rep = verify_intrinsic_product(faces, nu, s, t)
+        checks.append(
             _check(
-                "zaslavsky",
+                "intrinsic-product",
                 rep.ok,
-                chambers=rep.chambers_census,
-                essentially_bounded=rep.bounded_census,
-            ),
-            *(_kung_check(lattice, *pair) for pair in _KUNG_PAIRS),
-            _q_basis_check(lattice),
-            *_nu_checks(faces, nu),
-            _profile_consistency_check(faces, nu.profiles),
-            _klivans_swartz_check(faces, lattice, nu.profiles),
-        ]
+                s=rep.s,
+                t=rep.t,
+                max_deviation=rep.max_deviation,
+                tolerance=rep.tolerance,
+            )
+        )
+    if what != "all":
+        return {"checked": len(checks)}, checks, [], profiles
+    rep = zaslavsky_counts(faces, lattice)
+    checks += [
+        _unit_identity_check(faces),
+        _check(
+            "zaslavsky",
+            rep.ok,
+            chambers=rep.chambers_census,
+            essentially_bounded=rep.bounded_census,
+        ),
+        _q_basis_check(lattice),
+        _profile_consistency_check(faces, profiles),
+        _klivans_swartz_check(faces, lattice, profiles),
+    ]
+    tol = nu.character_tolerance()
+    for name, value, target in (
+        ("nu-at-1-vs-unit", 1.0, unit_element(faces)),
+        ("nu-at-minus-1-vs-takeuchi", -1.0, takeuchi_element(faces)),
+    ):
+        dev = _deviation(nu.element.evaluate(value), target)
+        checks.append(_check(name, dev <= tol, max_deviation=dev, tolerance=tol))
     return {"checked": len(checks)}, checks, [], profiles
 
 
@@ -638,7 +615,7 @@ def main(argv=None):
         ),
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, default=_json_scalar))
     else:
         for line in human:
             print(line)

@@ -133,7 +133,3 @@ def projection_matrix(vectors, n):
         [Fraction(sum(u[i] * y[j] for u, y in ys), den) for j in range(n)]
         for i in range(n)
     ]
-
-
-def common_denominator(fractions_iter):
-    return lcm(*[Fraction(f).denominator for f in fractions_iter])

@@ -137,7 +137,7 @@ from titskit.lattice import (
     UngradedLattice,
     subarrangement_map,
 )
-from titskit.linalg import _idot, common_denominator, dot, matrix_rank, nullspace
+from titskit.linalg import _idot, dot, matrix_rank, nullspace
 from titskit.lp import lp_feasible
 from titskit.scalars import Poly, T
 from titskit.tits import (
@@ -149,6 +149,10 @@ from titskit.tits import (
     takeuchi_element,
     unit_element,
 )
+
+
+def common_denominator(fractions_iter):
+    return lcm(*[Fraction(f).denominator for f in fractions_iter])
 
 
 def matvec(m, x):

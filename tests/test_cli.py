@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,14 @@ import pytest
 import titskit.cli as cli
 from titskit import intrinsic
 from titskit.cli import main
+from titskit.elements import adams_a_normalized
 from titskit.geometry import arrangement_to_json
+from titskit.scalars import Poly
+from titskit.tits import unit_element
 
 from conftest import get_trio
+
+TRIANGLE = Path(__file__).parent / "data" / "triangle.json"
 
 
 def run(capsys, argv):
@@ -371,6 +377,45 @@ def test_failing_check_exits_1(capsys, monkeypatch):
     assert "FAILED" in err
 
 
+def test_failing_characteristic_checks_write_their_violations(
+    capsys, monkeypatch
+):
+    # the unit element is not characteristic for 2, nor the Adams element
+    # for 3t + 1: every scalar of a violation is written as text
+    monkeypatch.setattr(
+        cli,
+        "_CHARACTERISTIC",
+        (
+            ("characteristic-unit", None, unit_element, Fraction(2)),
+            ("characteristic-adams", "braid", adams_a_normalized, Poly((1, 3))),
+        ),
+    )
+    code, rep = run_json(
+        capsys, ["verify", "characteristic", "--family", "braid", "--n", "3"]
+    )
+    assert code == 1 and rep["ok"] is False
+    adams, unit = rep["checks"]
+    assert (unit["name"], unit["ok"], unit["parameter"]) == (
+        "characteristic-unit", False, "2"
+    )
+    assert {"flat": 1, "character": "1", "expected": "2"} in unit["violations"]
+    assert (adams["name"], adams["ok"], adams["parameter"]) == (
+        "characteristic-adams", False, "3t + 1"
+    )
+    assert {"flat": 1, "character": "t", "expected": "3t + 1"} in adams[
+        "violations"
+    ]
+
+
+def test_a_check_field_json_cannot_write_raises(capsys, monkeypatch):
+    def fake(arr, faces, lattice, args):
+        return {}, [cli._check("forced", True, seen={1, 2})], [], {}
+
+    monkeypatch.setitem(cli._HANDLERS, "zaslavsky", fake)
+    with pytest.raises(TypeError):
+        main(["zaslavsky", "--family", "braid", "--n", "3", "--json"])
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     list_file = tmp_path / "list.json"
     list_file.write_text("[1, 2]")
@@ -408,6 +453,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["charpoly", "--family", "generic", "--n", "-2", "--m", "2"],
         ["charpoly", "--file", str(list_file)],
         ["charpoly", "--file", str(count_file)],
+        ["charpoly", "--family", "braid", "--n", "3", "--m", "5"],
+        ["charpoly", "--file", str(TRIANGLE), "--n", "7", "--m", "2"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:

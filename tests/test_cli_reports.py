@@ -55,6 +55,15 @@ CASES = [f"{name} {command}" for name in SOURCES for command in COMMANDS] + [
     "signed3 verify product --s 1/2 --t -3",
     "generic(3,4,11) verify product --s 1/2 --t -3",
     "triangle verify product --s 1/2 --t -3",
+    "braid4 element unit",
+    "triangle element unit",
+    "braid4 element intrinsic",
+    "signed3 element intrinsic",
+    "triangle element intrinsic",
+    "coord4 intrinsic --exact-only",
+    "braid4 verify deletion --hyperplane 2",
+    "coord4 verify kung --s=-5/3 --t 7/2",
+    "braid3 verify all",
 ]
 
 

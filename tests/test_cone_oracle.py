@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from titskit.geometry import HomogeneousCone, enumerate_faces, recession_cone
 from titskit.intrinsic import _complement, cone_faces
-from titskit.linalg import common_denominator, projection_matrix
+from titskit.linalg import projection_matrix
 
 from oracles import (
+    common_denominator,
     cone_faces_lp,
     implicit_equalities_lp,
     line_gcd,

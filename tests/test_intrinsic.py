@@ -21,7 +21,6 @@ from titskit.intrinsic import (
     try_exact_profile,
     verify_intrinsic_product,
 )
-from titskit.linalg import common_denominator
 from titskit.scalars import T
 from titskit.tits import (
     character,
@@ -31,7 +30,12 @@ from titskit.tits import (
 )
 
 from conftest import get_trio
-from oracles import complement_gram, mc_profile_nearest, project_to_cone
+from oracles import (
+    common_denominator,
+    complement_gram,
+    mc_profile_nearest,
+    project_to_cone,
+)
 from test_cone_oracle import KINDS, cones
 
 QUADRANT = HomogeneousCone(dim=2, equalities=(), inequalities=((1, 0), (0, 1)))

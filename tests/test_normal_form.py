@@ -27,9 +27,9 @@ from titskit.geometry import (
     canonicalize,
     load_arrangement,
 )
-from titskit.linalg import _integer_row, _line, _primitive, common_denominator
+from titskit.linalg import _integer_row, _line, _primitive
 
-from oracles import canonicalize_gcd, line_gcd, primitive_gcd
+from oracles import canonicalize_gcd, common_denominator, line_gcd, primitive_gcd
 
 _SETTINGS = settings(
     derandomize=True, deadline=None, database=None, max_examples=300
